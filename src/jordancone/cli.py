@@ -106,7 +106,7 @@ def _coords(x: Element) -> list[float]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     algebra = _parse_algebra(args.algebra)
-    dec = decompose_engaged_disengaged(algebra, seed=args.seed)
+    dec = decompose_engaged_disengaged(algebra)
     center_dim = len(center_basis(algebra))
     doc = {
         "verb": "analyze",
@@ -175,7 +175,7 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     algebra = _parse_algebra(args.algebra)
-    dec = decompose_engaged_disengaged(algebra, seed=args.seed)
+    dec = decompose_engaged_disengaged(algebra)
     doc = {
         "verb": "decompose",
         "seed": args.seed,
@@ -323,9 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
+    # analyze and decompose read the structure off the descriptor; their
+    # --seed is kept so existing command lines and reports stay valid
+    unused_seed = "accepted and echoed in the report; unused (no randomness)"
+
     p = sub.add_parser("analyze", help="factor list, center, disengaged atoms")
     p.add_argument("--algebra", required=True)
-    common(p)
+    common(p, seed=False)
+    p.add_argument("--seed", type=int, default=0, help=unused_seed)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("spectrum", help="eigenvalues and idempotent frame of an element")
@@ -342,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="engaged/disengaged decomposition")
     p.add_argument("--algebra", required=True)
-    common(p)
+    common(p, seed=False)
+    p.add_argument("--seed", type=int, default=0, help=unused_seed)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("verify-oiso", help="sample-test an order-isomorphism form")

@@ -140,6 +140,43 @@ class AlgebraDescriptor:
         return w
 
     @cached_property
+    def product_groups(self) -> tuple[tuple[str, np.ndarray, np.ndarray | None], ...]:
+        """Slot index arrays for `jordan_products`, one entry per (kind, size).
+
+        Factors of one kind and size share an entry, so the kernel does one
+        batch of array operations per entry rather than per factor:
+
+        * ``("scalar", slots, None)``: the slots of every one-dimensional
+          factor (``real`` and ``sym(1)``), shape (k,);
+        * ``("spin", slots, None)``: one row ``(s, u_1..u_n)`` per spin(n)
+          factor, shape (k, n + 1);
+        * ``("sym", slots, full)``: the upper-triangle slots of each sym(n)
+          factor, shape (k, n(n+1)/2), and the slot holding each dense
+          matrix entry, shape (k, n, n).
+        """
+        scalars: list[int] = []
+        blocks: dict[tuple[str, int], list[np.ndarray]] = {}
+        for f, sl in zip(self.factors, self.slices):
+            if f.dim == 1:
+                scalars.append(sl.start)
+            else:
+                blocks.setdefault((f.kind, f.n), []).append(np.arange(sl.start, sl.stop))
+        groups: list[tuple[str, np.ndarray, np.ndarray | None]] = []
+        if scalars:
+            groups.append(("scalar", np.array(scalars), None))
+        for (kind, n), rows in blocks.items():
+            slots = np.stack(rows)
+            full = None
+            if kind == "sym":
+                iu, ju = _triu_indices(n)
+                pos = np.empty((n, n), dtype=int)
+                pos[iu, ju] = np.arange(iu.size)
+                pos[ju, iu] = np.arange(iu.size)
+                full = slots[:, pos]
+            groups.append((kind, slots, full))
+        return tuple(groups)
+
+    @cached_property
     def unit_coords(self) -> np.ndarray:
         c = np.zeros(self.total_dim)
         for f, off in zip(self.factors, self.offsets):
@@ -220,23 +257,34 @@ def _check_same_algebra(x: Element, y: Element) -> None:
         raise ValueError("algebra mismatch")
 
 
-def jordan_product(x: Element, y: Element) -> Element:
-    """The Jordan product x o y, evaluated factor by factor."""
-    _check_same_algebra(x, y)
-    out = np.empty(x.algebra.total_dim)
-    for f, sl in zip(x.algebra.factors, x.algebra.slices):
-        a, b = x.coords[sl], y.coords[sl]
-        if f.kind == "real":
-            out[sl] = a * b
-        elif f.kind == "spin":
-            s, u = a[0], a[1:]
-            t, v = b[0], b[1:]
-            out[sl.start] = s * t + u @ v
-            out[sl.start + 1:sl.stop] = s * v + t * u
+def jordan_products(algebra: AlgebraDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise Jordan products of two (N, d) coordinate arrays.
+
+    The batched kernel behind every product in the package: one pass of
+    array operations per entry of ``algebra.product_groups``.
+    """
+    out = np.empty((x.shape[0], algebra.total_dim))
+    for kind, slots, full in algebra.product_groups:
+        if kind == "scalar":
+            out[:, slots] = x[:, slots] * y[:, slots]
+        elif kind == "spin":
+            a, b = x[:, slots], y[:, slots]
+            s, u = a[..., :1], a[..., 1:]
+            t, v = b[..., :1], b[..., 1:]
+            out[:, slots[:, 0]] = s[..., 0] * t[..., 0] + (u * v).sum(axis=-1)
+            out[:, slots[:, 1:]] = s * v + t * u
         else:
-            m = sym_to_matrix(a, f.n) @ sym_to_matrix(b, f.n)
-            out[sl] = sym_from_matrix(m, f.n)  # symmetrizes: (XY + YX)/2
-    return Element(x.algebra, out)
+            iu, ju = _triu_indices(full.shape[-1])
+            m = x[:, full] @ y[:, full]
+            out[:, slots] = 0.5 * (m[..., iu, ju] + m[..., ju, iu])  # (XY + YX)/2
+    return out
+
+
+def jordan_product(x: Element, y: Element) -> Element:
+    """The Jordan product x o y."""
+    _check_same_algebra(x, y)
+    out = jordan_products(x.algebra, x.coords[None, :], y.coords[None, :])
+    return Element(x.algebra, out[0])
 
 
 def inner_product(x: Element, y: Element) -> float:
@@ -300,24 +348,20 @@ def op_invert(op: LinearOperator) -> LinearOperator:
 
 
 def quadratic_rep(x: Element) -> LinearOperator:
-    """The quadratic representation U_x: y -> {x,y,x} as a dense matrix.
-
-    Assembled column by column on the standard coordinate basis.
-    """
-    d = x.algebra.total_dim
-    m = np.empty((d, d))
-    for j in range(d):
-        m[:, j] = triple_product(x, basis_element(x.algebra, j), x).coords
-    return LinearOperator(x.algebra, x.algebra, m)
+    """The quadratic representation U_x: y -> {x,y,x} = 2 L_x^2 - L_{x^2}."""
+    lx = mult_operator(x).matrix
+    lx2 = mult_operator(jordan_product(x, x)).matrix
+    return LinearOperator(x.algebra, x.algebra, 2.0 * lx @ lx - lx2)
 
 
 def mult_operator(x: Element) -> LinearOperator:
-    """The multiplication operator L_x: y -> x o y."""
+    """The multiplication operator L_x: y -> x o y.
+
+    Row j of the kernel's output is x o e_j, the j-th column of L_x.
+    """
     d = x.algebra.total_dim
-    m = np.empty((d, d))
-    for j in range(d):
-        m[:, j] = jordan_product(x, basis_element(x.algebra, j)).coords
-    return LinearOperator(x.algebra, x.algebra, m)
+    rows = jordan_products(x.algebra, np.broadcast_to(x.coords, (d, d)), np.eye(d))
+    return LinearOperator(x.algebra, x.algebra, rows.T)
 
 
 def as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -363,8 +407,10 @@ def algebra_from_dict(doc: dict) -> AlgebraDescriptor:
         raise ValueError("algebra document must contain a 'factors' list")
     factors = []
     for entry in doc["factors"]:
-        kind = entry["kind"]
-        factors.append(FactorDescriptor(kind, int(entry.get("n", 0))))
+        n = entry.get("n", 0)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"factor size n must be an integer, got {n!r}")
+        factors.append(FactorDescriptor(entry["kind"], n))
     return AlgebraDescriptor(tuple(factors))
 
 
@@ -372,8 +418,17 @@ def element_to_list(x: Element) -> list[float]:
     return [float(c) for c in x.coords]
 
 
-def element_from_list(algebra: AlgebraDescriptor, data: list) -> Element:
-    return Element(algebra, np.asarray(data, dtype=float))
+def _finite_array(data, finite: bool) -> np.ndarray:
+    values = np.asarray(data, dtype=float)
+    if finite and not np.isfinite(values).all():
+        raise ValueError("non-finite value in input")
+    return values
+
+
+def element_from_list(algebra: AlgebraDescriptor, data: list, *, finite: bool = True) -> Element:
+    """Parse a coordinate list; non-finite values are rejected unless
+    ``finite`` is false (forms loaded unvalidated, to be judged by sampling)."""
+    return Element(algebra, _finite_array(data, finite))
 
 
 def operator_to_dict(op: LinearOperator) -> dict:
@@ -382,10 +437,11 @@ def operator_to_dict(op: LinearOperator) -> dict:
 
 
 def operator_from_dict(
-    domain: AlgebraDescriptor, codomain: AlgebraDescriptor, doc: dict
+    domain: AlgebraDescriptor, codomain: AlgebraDescriptor, doc: dict, *, finite: bool = True
 ) -> LinearOperator:
+    """Parse a dense row-major operator; ``finite`` as in `element_from_list`."""
     r, c = int(doc["rows"]), int(doc["cols"])
-    data = np.asarray(doc["data"], dtype=float)
+    data = _finite_array(doc["data"], finite)
     if data.size != r * c:
         raise ValueError("operator data length does not match rows*cols")
     return LinearOperator(domain, codomain, data.reshape(r, c))

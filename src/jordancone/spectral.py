@@ -4,8 +4,12 @@ Every element of a direct sum of simple factors has a finite spectral
 decomposition x = sum_i lambda_i p_i with pairwise orthogonal idempotents
 summing to the unit.  Eigenvalues closer than ``CLUSTER_RTOL * (1 + |x|)``
 are merged into a single idempotent so that frames stay stable under
-numerical noise; for that reason reconstruction accuracy is bounded below
-by the clustering width on (adversarially) near-degenerate inputs.
+numerical noise; for that reason the reconstruction accuracy of a
+`SpectralDecomposition` is bounded below by the clustering width on
+(adversarially) near-degenerate inputs.  The clustering width limits
+decomposition frames only: `functional_calculus`, and with it `sqrt`, `inv`
+and `power`, applies phi to each eigenvalue of each factor separately and is
+exact up to rounding however close eigenvalues of different factors lie.
 
 ``spectrum`` returns eigenvalues *with multiplicity* (one entry per atomic
 dimension: n for sym(n), two for a spin factor, one for real), while a
@@ -30,6 +34,7 @@ from .core import (
 CLUSTER_RTOL = 1e-8
 POSITIVITY_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-10
+INTERIOR_TOL = 1e-9
 
 
 def spectrum(x: Element) -> np.ndarray:
@@ -143,14 +148,21 @@ def spectral_decomposition(x: Element) -> SpectralDecomposition:
 def functional_calculus(
     x: Element, phi: Callable[[float], float], name: str = "phi"
 ) -> Element:
-    """sum phi(lambda_i) p_i over the spectral decomposition of x."""
-    d = spectral_decomposition(x)
+    """sum phi(lambda_i) a_i over the rank-one pieces a_i of x.
+
+    phi sees every eigenvalue of every factor as it is, never an average of
+    a cluster, so eigenvalues of different factors closer than the
+    clustering width do not perturb the result.  Eigenvalues are visited in
+    descending order; the first one mapped to a non-finite value is named
+    in the error.
+    """
+    slices = x.algebra.slices
     c = np.zeros(x.algebra.total_dim)
-    for lam, p in zip(d.eigenvalues, d.idempotents):
-        val = phi(float(lam))
+    for lam, fi, block in sorted(_factor_pieces(x), key=lambda t: (-t[0], t[1])):
+        val = phi(lam)
         if not np.isfinite(val):
             raise ValueError(f"eigenvalue {lam:.9g} outside domain of {name}")
-        c += val * p.coords
+        c[slices[fi]] += val * block
     return Element(x.algebra, c)
 
 
@@ -246,7 +258,7 @@ def _padded(algebra: AlgebraDescriptor, sl: slice, block: np.ndarray) -> Element
     return Element(algebra, c)
 
 
-def is_interior(x: Element, tol: float = 1e-9) -> bool:
+def is_interior(x: Element, tol: float = INTERIOR_TOL) -> bool:
     """Whether x lies in the open cone (all eigenvalues > tol)."""
     return bool(spectrum(x).min() > tol)
 

@@ -5,10 +5,14 @@ A disengaged atom is detected through centrality (for atoms: disengaged,
 orthogonal-to-all-other-atoms, and central are equivalent properties),
 because centrality is a finite linear-algebra test while the definitional
 "not in the span of other extreme rays" quantifies over a continuum.  For
-the supported simple factors the disengaged atoms are exactly the units of
-the one-dimensional factors; `decompose_engaged_disengaged` nevertheless
-runs the general central-idempotent pipeline, and `dim1_factor_indices`
-provides the shortcut the pipeline is cross-checked against in the tests.
+the supported simple factors the center is spanned by the factor units and
+the disengaged atoms are exactly the units of the one-dimensional factors
+(Faraut & Koranyi, *Analysis on Symmetric Cones*, ch. III), so
+`center_basis` and `decompose_engaged_disengaged` read both off the
+descriptor: no randomness, no SVD.  The general numerical route (the null
+space of the commutator system and random central idempotents) lives in
+`verify` as an independent oracle that the tests and the acceptance suite
+check this route against.
 """
 
 from __future__ import annotations
@@ -20,20 +24,16 @@ from functools import lru_cache
 from .core import (
     AlgebraDescriptor,
     Element,
-    LinearOperator,
     basis_element,
     jordan_product,
     mult_operator,
     quadratic_rep,
-    unit,
-    zero,
 )
-from .spectral import order_unit_norm, spectral_decomposition
+from .spectral import order_unit_norm
 
 RANK_CUTOFF = 1e-9
 PROJECTION_TOL = 1e-10
 CENTRAL_TOL = 1e-10
-CENTER_GAP_TOL = 1e-6
 
 
 def numerical_rank(matrix: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
@@ -58,17 +58,6 @@ def is_atom(p: Element) -> bool:
     return numerical_rank(quadratic_rep(p).matrix) == 1
 
 
-@lru_cache(maxsize=None)
-def _basis_mult_matrices(algebra: AlgebraDescriptor) -> np.ndarray:
-    """Stacked multiplication operators L_b for the standard basis, (d, d, d)."""
-    d = algebra.total_dim
-    out = np.empty((d, d, d))
-    for k in range(d):
-        out[k] = mult_operator(basis_element(algebra, k)).matrix
-    out.setflags(write=False)
-    return out
-
-
 def is_central(x: Element, tol: float = CENTRAL_TOL) -> bool:
     """Whether x operator-commutes with every element.
 
@@ -77,60 +66,27 @@ def is_central(x: Element, tol: float = CENTRAL_TOL) -> bool:
     """
     lx = mult_operator(x).matrix
     scale = tol * (1.0 + order_unit_norm(x))
-    for lb in _basis_mult_matrices(x.algebra):
+    for k in range(x.algebra.total_dim):
+        lb = mult_operator(basis_element(x.algebra, k)).matrix
         if np.abs(lx @ lb - lb @ lx).max() > scale:
             return False
     return True
 
 
+def _factor_unit(algebra: AlgebraDescriptor, index: int) -> Element:
+    c = np.zeros(algebra.total_dim)
+    sl = algebra.slices[index]
+    c[sl] = algebra.unit_coords[sl]
+    return Element(algebra, c)
+
+
 def center_basis(algebra: AlgebraDescriptor) -> list[Element]:
-    """A basis of the center, via the null space of the commutator system."""
-    d = algebra.total_dim
-    ls = _basis_mult_matrices(algebra)
-    # column k: all commutators [L_{e_k}, L_{e_j}] stacked and vectorized
-    cols = np.empty((d * d * d, d))
-    for k in range(d):
-        comms = ls[k][None, :, :] @ ls - ls @ ls[k][None, :, :]
-        cols[:, k] = comms.reshape(-1)
-    _, sv, vt = np.linalg.svd(cols, full_matrices=False)
-    if sv.size and sv[0] > 0.0:
-        rank = int(np.count_nonzero(sv > RANK_CUTOFF * sv[0]))
-    else:
-        rank = 0
-    return [Element(algebra, vt[i]) for i in range(rank, d)]
-
-
-def minimal_central_idempotents(
-    algebra: AlgebraDescriptor, seed: int = 0
-) -> list[Element]:
-    """The minimal idempotents of the (associative) center.
-
-    Draws a random central element, decomposes it spectrally, and accepts
-    the resulting frame when all center eigenvalues are well separated;
-    degenerate draws are retried with fresh randomness.
-    """
-    basis = center_basis(algebra)
-    k = len(basis)
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        coeffs = rng.standard_normal(k)
-        z = Element(algebra, sum(c * b.coords for c, b in zip(coeffs, basis)))
-        d = spectral_decomposition(z)
-        if len(d.eigenvalues) != k:
-            continue
-        if k > 1 and np.diff(d.eigenvalues[::-1]).min() < CENTER_GAP_TOL:
-            continue
-        # canonical order: by the first coordinate each idempotent occupies
-        idems = sorted(
-            d.idempotents,
-            key=lambda p: int(np.flatnonzero(np.abs(p.coords) > 0.5)[0]),
-        )
-        return list(idems)
-    raise ValueError("degenerate center draws exhausted")
+    """A basis of the center: the units of the factors, in factor order."""
+    return [_factor_unit(algebra, i) for i in range(len(algebra.factors))]
 
 
 def dim1_factor_indices(algebra: AlgebraDescriptor) -> list[int]:
-    """Factor indices of the one-dimensional summands (the shortcut route)."""
+    """Factor indices of the one-dimensional summands (``real`` and ``sym(1)``)."""
     return [i for i, f in enumerate(algebra.factors) if f.dim == 1]
 
 
@@ -142,8 +98,8 @@ class Decomposition:
     ``p_E = e - p_D`` carries the engaged part.  ``disengaged_coordinates``
     gives the full-algebra coordinate slot of each disengaged atom, in the
     same order as ``disengaged_atoms``.  ``engaged_subalgebra`` is None
-    when every factor is disengaged; otherwise ``embedding`` maps its
-    coordinates into the full algebra.
+    when every factor is disengaged; otherwise its coordinates are the
+    full-algebra slots ``engaged_slots``, in order.
     """
 
     algebra: AlgebraDescriptor
@@ -152,7 +108,14 @@ class Decomposition:
     disengaged_atoms: tuple[Element, ...]
     disengaged_coordinates: tuple[int, ...]
     engaged_subalgebra: AlgebraDescriptor | None
-    embedding: LinearOperator | None
+
+    def __post_init__(self) -> None:
+        dis = np.array(self.disengaged_coordinates, dtype=np.intp)
+        eng = np.setdiff1d(np.arange(self.algebra.total_dim), dis)
+        dis.setflags(write=False)
+        eng.setflags(write=False)
+        object.__setattr__(self, "_disengaged_index", dis)
+        object.__setattr__(self, "_engaged_index", eng)
 
     @property
     def has_engaged(self) -> bool:
@@ -160,83 +123,49 @@ class Decomposition:
 
     @property
     def engaged_slots(self) -> np.ndarray:
-        if self.embedding is None:
-            return np.empty(0, dtype=int)
-        return np.flatnonzero(self.embedding.matrix.any(axis=1))
+        """Full-algebra slots of the engaged-subalgebra coordinates, ascending."""
+        return self._engaged_index
 
     def split(self, x: Element) -> tuple[np.ndarray, Element | None]:
         """Disengaged coordinate values and the engaged-subalgebra part of x."""
-        xd = x.coords[list(self.disengaged_coordinates)]
+        xd = x.coords[self._disengaged_index]
         if self.engaged_subalgebra is None:
             return xd, None
-        xe = Element(self.engaged_subalgebra, self.embedding.matrix.T @ x.coords)
-        return xd, xe
+        return xd, Element(self.engaged_subalgebra, x.coords[self._engaged_index])
 
     def embed_engaged(self, xe: Element) -> Element:
-        if self.embedding is None:
+        if self.engaged_subalgebra is None:
             raise ValueError("decomposition has no engaged part")
-        return Element(self.algebra, self.embedding.matrix @ xe.coords)
+        c = np.zeros(self.algebra.total_dim)
+        c[self._engaged_index] = xe.coords
+        return Element(self.algebra, c)
 
 
-@lru_cache(maxsize=None)
-def decompose_engaged_disengaged(
-    algebra: AlgebraDescriptor, seed: int = 0
-) -> Decomposition:
+@lru_cache(maxsize=1024)
+def decompose_engaged_disengaged(algebra: AlgebraDescriptor) -> Decomposition:
     """Split the algebra along its disengaged (central) atoms.
 
-    The disengaged atoms are the minimal central idempotents whose
-    quadratic representation has rank one; their sum is the central
-    projection p_D, and the engaged subalgebra is the direct sum of the
-    remaining factors.
+    The disengaged atoms are the units of the one-dimensional factors, in
+    slot order; their sum is the central projection p_D, and the engaged
+    subalgebra is the direct sum of the remaining factors.
     """
-    idems = minimal_central_idempotents(algebra, seed)
-    disengaged = [c for c in idems if numerical_rank(quadratic_rep(c).matrix) == 1]
-
-    coords: list[int] = []
-    factor_of: list[int] = []
-    offs = algebra.offsets
-    for atom in disengaged:
-        slot = int(np.argmax(np.abs(atom.coords)))
-        coords.append(slot)
-        factor_of.append(max(i for i, off in enumerate(offs) if off <= slot))
-    order = np.argsort(coords)
-    disengaged = [disengaged[i] for i in order]
-    coords = [coords[i] for i in order]
-    dis_factors = {factor_of[i] for i in order}
-
-    p_d = zero(algebra)
-    for atom in disengaged:
-        p_d = p_d + atom
-    p_e = unit(algebra) - p_d
-
-    engaged_idx = [i for i in range(len(algebra.factors)) if i not in dis_factors]
-    if engaged_idx:
-        sub = AlgebraDescriptor(tuple(algebra.factors[i] for i in engaged_idx))
-        emb = np.zeros((algebra.total_dim, sub.total_dim))
-        col = 0
-        for i in engaged_idx:
-            sl = algebra.slices[i]
-            w = sl.stop - sl.start
-            emb[sl, col:col + w] = np.eye(w)
-            col += w
-        embedding = LinearOperator(sub, algebra, emb)
-    else:
-        sub, embedding = None, None
-
+    dim1 = dim1_factor_indices(algebra)
+    atoms = tuple(_factor_unit(algebra, i) for i in dim1)
+    p_d = np.zeros(algebra.total_dim)
+    for atom in atoms:
+        p_d += atom.coords
+    engaged = [f for i, f in enumerate(algebra.factors) if i not in dim1]
     return Decomposition(
         algebra=algebra,
-        p_D=p_d,
-        p_E=p_e,
-        disengaged_atoms=tuple(disengaged),
-        disengaged_coordinates=tuple(coords),
-        engaged_subalgebra=sub,
-        embedding=embedding,
+        p_D=Element(algebra, p_d),
+        p_E=Element(algebra, algebra.unit_coords - p_d),
+        disengaged_atoms=atoms,
+        disengaged_coordinates=tuple(algebra.offsets[i] for i in dim1),
+        engaged_subalgebra=AlgebraDescriptor(tuple(engaged)) if engaged else None,
     )
 
 
-def codim1_ideals(
-    algebra: AlgebraDescriptor, seed: int = 0
-) -> list[tuple[Element, np.ndarray]]:
+def codim1_ideals(algebra: AlgebraDescriptor) -> list[tuple[Element, np.ndarray]]:
     """Central atoms paired with their multiplicative functionals.
 
     For a central atom p the functional phi_p is defined by
@@ -244,7 +173,7 @@ def codim1_ideals(
     finite dimension this list is exhaustive.  The functional is returned
     as a coefficient row: phi_p(x) = row @ x.coords.
     """
-    dec = decompose_engaged_disengaged(algebra, seed)
+    dec = decompose_engaged_disengaged(algebra)
     out = []
     for atom, slot in zip(dec.disengaged_atoms, dec.disengaged_coordinates):
         u_p = quadratic_rep(atom).matrix

@@ -8,7 +8,15 @@ refute extremality, never prove it: oracle-true means "no counterexample
 found in the given number of trials".
 
 Each trial depends only on (seed, trial index), so checks are
-embarrassingly parallel and reports merge associatively.
+embarrassingly parallel and reports merge associatively.  A violation that
+is not a finite number (a map that returned NaN, say) counts as infinite,
+so it always fails.
+
+The center oracles recompute the center numerically, from the null space
+of the commutator system [L_{e_k}, L_{e_j}] and random central elements,
+without the descriptor facts `structure` reads the center from; the tests
+and the acceptance suite compare the two routes.  They are capped at
+``ORACLE_MAX_DIM`` because the commutator system takes 8 d^4 bytes.
 """
 
 from __future__ import annotations
@@ -20,15 +28,27 @@ from typing import Callable
 from .core import (
     AlgebraDescriptor,
     Element,
+    basis_element,
     inner_product,
     jordan_product,
+    mult_operator,
     quadratic_rep,
     random_element,
     as_rng,
 )
-from .spectral import is_positive, order_unit_norm, spectrum, sqrt, trace
+from .spectral import (
+    is_positive,
+    order_unit_norm,
+    spectral_decomposition,
+    spectrum,
+    sqrt,
+    trace,
+)
+from .structure import RANK_CUTOFF
 
 SPAN_DISTANCE_TOL = 1e-7
+CENTER_GAP_TOL = 1e-6
+ORACLE_MAX_DIM = 40  # 8 * 40^4 B = 20 MB of commutator coordinates
 
 
 @dataclass(frozen=True)
@@ -137,6 +157,11 @@ def extreme_vector_oracle(
     return True
 
 
+def _violation(v: float) -> float:
+    """A violation magnitude clamped at 0; NaN and infinities count as inf."""
+    return max(0.0, v) if np.isfinite(v) else np.inf
+
+
 def check_order_preserving(
     f: Callable[[Element], Element],
     algebra: AlgebraDescriptor,
@@ -158,7 +183,7 @@ def check_order_preserving(
         x = jordan_product(v, v)
         z = x + jordan_product(w, w)
         diff = f(z) - f(x)
-        violation = max(0.0, -float(spectrum(diff).min()))
+        violation = _violation(-float(spectrum(diff).min()))
         max_violation = max(max_violation, violation)
         if violation > tolerance:
             failures.append(Failure((x, z), "order preserved", violation))
@@ -187,14 +212,66 @@ def check_linearity_blackbox(
         x = jordan_product(v, v)
         z = jordan_product(w, w)
         defect = f(x + z) - (f(x) + f(z))
-        violation = order_unit_norm(defect)
+        violation = _violation(order_unit_norm(defect))
         max_violation = max(max_violation, violation)
         if violation > tolerance:
             failures.append(Failure((x, z), "additive", violation))
         for a in (0.5, 2.0, 3.0):
             defect = f(a * x) - a * f(x)
-            violation = order_unit_norm(defect)
+            violation = _violation(order_unit_norm(defect))
             max_violation = max(max_violation, violation)
             if violation > tolerance:
                 failures.append(Failure((x, a), f"homogeneous (a={a:g})", violation))
     return SampleReport(trials, tolerance, max_violation, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# the numerical center: an oracle for the descriptor route in `structure`
+
+def center_oracle(algebra: AlgebraDescriptor) -> list[Element]:
+    """A basis of the center, via the null space of the commutator system.
+
+    Raises ValueError above ``ORACLE_MAX_DIM`` before allocating anything.
+    """
+    d = algebra.total_dim
+    if d > ORACLE_MAX_DIM:
+        raise ValueError(f"center oracle needs total_dim <= {ORACLE_MAX_DIM}, got {d}")
+    ls = np.stack([mult_operator(basis_element(algebra, k)).matrix for k in range(d)])
+    # column k: all commutators [L_{e_k}, L_{e_j}] stacked and vectorized
+    cols = np.empty((d * d * d, d))
+    for k in range(d):
+        comms = ls[k][None, :, :] @ ls - ls @ ls[k][None, :, :]
+        cols[:, k] = comms.reshape(-1)
+    _, sv, vt = np.linalg.svd(cols, full_matrices=False)
+    if sv.size and sv[0] > 0.0:
+        rank = int(np.count_nonzero(sv > RANK_CUTOFF * sv[0]))
+    else:
+        rank = 0
+    return [Element(algebra, vt[i]) for i in range(rank, d)]
+
+
+def central_idempotents_oracle(algebra: AlgebraDescriptor, seed: int = 0) -> list[Element]:
+    """The minimal idempotents of the (associative) center.
+
+    Draws a random element of the `center_oracle` span, decomposes it
+    spectrally, and accepts the resulting frame when all center eigenvalues
+    are well separated; degenerate draws are retried with fresh randomness.
+    Raises ValueError above ``ORACLE_MAX_DIM``.
+    """
+    basis = center_oracle(algebra)
+    k = len(basis)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        coeffs = rng.standard_normal(k)
+        z = Element(algebra, sum(c * b.coords for c, b in zip(coeffs, basis)))
+        d = spectral_decomposition(z)
+        if len(d.eigenvalues) != k:
+            continue
+        if k > 1 and np.diff(d.eigenvalues[::-1]).min() < CENTER_GAP_TOL:
+            continue
+        # canonical order: by the first coordinate each idempotent occupies
+        return sorted(
+            d.idempotents,
+            key=lambda p: int(np.flatnonzero(np.abs(p.coords) > 0.5)[0]),
+        )
+    raise ValueError("degenerate center draws exhausted")

@@ -1,8 +1,8 @@
 """Acceptance gate: every criterion runs at its stated scale and tolerance.
 
-The full suite executes once per session (it takes ~25 s); each test below
-asserts one criterion and prints its pass/fail line.  Run with ``-s`` (or
-look at captured output) to see the lines.
+The full suite executes once per session (about 35 s on a 2-core x86_64
+machine); each test below asserts one criterion and prints its pass/fail
+line.  Run with ``-s`` (or look at captured output) to see the lines.
 """
 
 import pytest

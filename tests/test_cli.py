@@ -69,6 +69,29 @@ class TestAnalyze:
         assert doc["center_dimension"] == 3
         assert doc["engaged_factors"] == [{"kind": "sym", "n": 3}]
 
+    def test_large_simple_algebra(self, tmp_path, capsys):
+        # sym(16), d = 136: read off the descriptor, no d^4 commutator system
+        p = tmp_path / "sym16.json"
+        p.write_text(json.dumps({"factors": [{"kind": "sym", "n": 16}]}))
+        code, out, _ = run(
+            capsys, ["analyze", "--algebra", str(p), "--format", "structured"]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["center_dimension"] == 1
+        assert doc["disengaged"]["count"] == 0
+        assert doc["disengaged"]["coordinates"] == []
+
+    def test_seed_is_echoed_but_unused(self, files, capsys):
+        def report(seed):
+            _, out, _ = run(capsys, ["analyze", "--algebra", files["alg.json"],
+                                     "--seed", seed, "--format", "structured"])
+            return json.loads(out)
+
+        a, b = report("1"), report("2")
+        assert (a.pop("seed"), b.pop("seed")) == (1, 2)
+        assert a == b
+
     def test_deterministic_output(self, files, capsys):
         argv = ["analyze", "--algebra", files["alg.json"], "--seed", "5",
                 "--format", "structured"]
@@ -146,6 +169,36 @@ class TestBadInput:
         assert "spin factor requires n >= 2" in err
 
 
+    def test_non_integer_factor_size_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "bad_alg.json"
+        p.write_text(json.dumps({"factors": [{"kind": "sym", "n": 2.7}]}))
+        code, _, err = run(capsys, ["analyze", "--algebra", str(p)])
+        assert code == 1
+        assert "must be an integer" in err
+
+    def test_non_finite_element_exits_1(self, tmp_path, capsys):
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps({"factors": [{"kind": "real"}, {"kind": "sym", "n": 2}]}))
+        elt = tmp_path / "elt.json"
+        elt.write_text(json.dumps([float("inf"), 0.0, 0.0, 1.0]))
+        code, out, err = run(
+            capsys, ["spectrum", "--algebra", str(alg), "--element", str(elt)]
+        )
+        assert code == 1 and out == ""
+        assert "non-finite" in err
+
+    def test_non_finite_operator_exits_1(self, files, tmp_path, capsys):
+        m = np.eye(8)
+        m[2, 3] = float("nan")
+        p = tmp_path / "nanmap.json"
+        p.write_text(json.dumps({"rows": 8, "cols": 8, "data": m.ravel().tolist()}))
+        code, out, err = run(
+            capsys, ["factorize", "--algebra", files["alg.json"], "--map", str(p)]
+        )
+        assert code == 1 and out == ""
+        assert "non-finite" in err
+
+
 class TestVerifyOiso:
     def test_honest_nonlinear_form_passes(self, files, capsys):
         code, out, _ = run(
@@ -158,6 +211,15 @@ class TestVerifyOiso:
         assert doc["order_preservation"]["failures"] == []
         assert doc["linearity"]["claimed_linear"] is False
         assert doc["violations_found"] is False
+
+    def test_nan_form_flagged(self, tmp_path, capsys):
+        doc = jc.form_to_dict(jc.identity_form(jc.direct_sum(jc.real(), jc.sym(2))))
+        doc["y"] = [float("nan")] * 3
+        p = tmp_path / "nan_form.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["verify-oiso", "--form", str(p), "--trials", "50"])
+        assert code == 3
+        assert "order preservation: VIOLATED" in out
 
     def test_tampered_form_flagged(self, files, capsys):
         code, out, _ = run(

@@ -103,6 +103,15 @@ class TestJordanHomomorphism:
         op = jc.LinearOperator(S3, S3, 2.0 * np.eye(6))
         assert not jc.is_jordan_homomorphism(op)
 
+    def test_batched_check_accepts_automorphisms_and_flags_one_entry(self):
+        algebra = jc.direct_sum(jc.real(), jc.sym(5), jc.spin(4))
+        for seed in range(5):
+            op = jc.random_jordan_automorphism(algebra, seed)
+            assert jc.is_jordan_homomorphism(op)
+            m = op.matrix.copy()
+            m[3, 7] += 1e-6
+            assert not jc.is_jordan_homomorphism(jc.LinearOperator(algebra, algebra, m))
+
     def test_isomorphism_needs_invertibility(self):
         m = np.zeros((3, 3))
         m[0, 0] = m[0, 2] = 0.5  # averages the diagonal: unital, not injective
@@ -134,6 +143,18 @@ class TestFactorization:
             y2, j2 = jc.factorize_linear_order_iso(t)
             assert jc.order_unit_norm(y2 - y) <= 1e-8
             assert np.abs(j2.matrix - j.matrix).max() <= 1e-8
+
+    def test_eigenvalues_of_different_factors_within_cluster_width(self):
+        # 0.1 and 0.1 + 2e-6 square to eigenvalues 4e-7 apart, inside the
+        # clustering width 1e-8 * (1 + 289) of y o y; sqrt must not merge them
+        algebra = jc.direct_sum(jc.real(), jc.real(), jc.sym(2))
+        y = elem(algebra, [0.1, 0.1 + 2e-6, 17.0, 0.0, 1.0])
+        back = jc.sqrt(jc.jordan_product(y, y))
+        assert np.abs(back.coords - y.coords).max() <= 1e-8
+        j = jc.random_jordan_automorphism(algebra, 0)
+        y2, j2 = jc.factorize_linear_order_iso(jc.op_compose(jc.quadratic_rep(y), j))
+        assert np.abs(y2.coords - y.coords).max() <= 1e-8
+        assert np.abs(j2.matrix - j.matrix).max() <= 1e-8
 
     def test_rejects_non_positive_unit_image(self):
         t = jc.LinearOperator(S2, S2, -np.eye(3))

@@ -57,10 +57,15 @@ class TestCenter:
         assert len(basis) == dim
         for b in basis:
             assert jc.is_central(b, tol=1e-8)
+        # the descriptor's factor units span the oracle's numerical center
+        oracle = np.array([b.coords for b in jc.center_oracle(algebra)])
+        units = np.array([b.coords for b in basis])
+        assert len(oracle) == dim
+        assert np.linalg.matrix_rank(np.vstack([oracle, units]), tol=1e-8) == dim
 
     def test_minimal_central_idempotents_simple(self):
         for algebra in (S3, jc.direct_sum(jc.spin(3))):
-            idems = jc.minimal_central_idempotents(algebra)
+            idems = jc.central_idempotents_oracle(algebra)
             assert len(idems) == 1
             np.testing.assert_allclose(
                 idems[0].coords, jc.unit(algebra).coords, atol=1e-9
@@ -68,7 +73,7 @@ class TestCenter:
 
     def test_minimal_central_idempotents_mixed(self):
         algebra = jc.direct_sum(jc.real(), jc.real(), jc.sym(2))
-        idems = jc.minimal_central_idempotents(algebra, seed=3)
+        idems = jc.central_idempotents_oracle(algebra, seed=3)
         assert len(idems) == 3
         expected = [
             [1, 0, 0, 0, 0],
@@ -79,10 +84,45 @@ class TestCenter:
             np.testing.assert_allclose(got.coords, want, atol=1e-9)
 
     def test_deterministic_given_seed(self):
-        a = jc.minimal_central_idempotents(RR_S3, seed=5)
-        b = jc.minimal_central_idempotents(RR_S3, seed=5)
+        a = jc.central_idempotents_oracle(RR_S3, seed=5)
+        b = jc.central_idempotents_oracle(RR_S3, seed=5)
         for p, q in zip(a, b):
             np.testing.assert_array_equal(p.coords, q.coords)
+
+
+class TestDescriptorRouteAgainstOracle:
+    """The descriptor route against the commutator-nullspace oracle."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_disengaged_slots_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = [jc.real(), jc.sym(1), jc.sym(2), jc.sym(3), jc.spin(2), jc.spin(3)]
+        factors = [pool[int(i)] for i in rng.integers(0, len(pool), size=4)]
+        algebra = jc.direct_sum(*factors)
+        dec = decompose_engaged_disengaged(algebra)
+        idems = jc.central_idempotents_oracle(algebra, seed=seed)
+        assert len(idems) == len(jc.center_basis(algebra))
+        atoms = [c for c in idems if jc.is_atom(c)]
+        assert len(atoms) == len(dec.disengaged_atoms)
+        for got, want in zip(dec.disengaged_atoms, atoms):
+            np.testing.assert_allclose(got.coords, want.coords, atol=1e-9)
+
+    def test_oracle_rejects_large_algebras_before_allocating(self):
+        # sym(16) has d = 136: its commutator system would take 8 d^4 B = 2.7 GB
+        big = jc.direct_sum(jc.sym(16))
+        assert big.total_dim > jc.verify.ORACLE_MAX_DIM
+        with pytest.raises(ValueError, match="center oracle needs total_dim"):
+            jc.center_oracle(big)
+        with pytest.raises(ValueError, match="center oracle needs total_dim"):
+            jc.central_idempotents_oracle(big)
+
+    def test_large_algebra_reads_off_the_descriptor(self):
+        algebra = jc.direct_sum(jc.real(), jc.sym(16), jc.sym(1))
+        dec = decompose_engaged_disengaged(algebra)
+        assert dec.disengaged_coordinates == (0, 137)
+        assert dec.engaged_subalgebra == jc.direct_sum(jc.sym(16))
+        assert len(jc.center_basis(algebra)) == 3
+        np.testing.assert_array_equal(dec.engaged_slots, np.arange(1, 137))
 
 
 class TestDecomposition:

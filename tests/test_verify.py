@@ -75,6 +75,13 @@ class TestOrderPreserving:
         )
         assert rep.passed
 
+    def test_nan_images_fail(self):
+        rep = jc.check_order_preserving(
+            lambda x: jc.Element(R_S2, np.full(4, np.nan)), R_S2, trials=20, seed=0
+        )
+        assert not rep.passed
+        assert len(rep.failures) == 20 and rep.max_violation == np.inf
+
     def test_report_invariant(self):
         rep = jc.check_order_preserving(
             lambda x: jc.jordan_product(x, x), S2, trials=100, seed=1
@@ -91,6 +98,13 @@ class TestLinearityBlackbox:
             lambda x: jc.op_apply(u, x), S2, trials=200, seed=0
         )
         assert rep.passed
+
+    def test_nan_images_fail(self):
+        rep = jc.check_linearity_blackbox(
+            lambda x: jc.Element(R_S2, np.full(4, np.nan)), R_S2, trials=10, seed=0
+        )
+        assert not rep.passed
+        assert len(rep.failures) == 40 and rep.max_violation == np.inf
 
     def test_grid_demo_flagged(self):
         form = jc.grid_power_demo(4, lambda t: 2.0 if t <= 0.5 else 1.0)
