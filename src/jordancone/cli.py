@@ -22,6 +22,7 @@ from .core import (
     LinearOperator,
     algebra_from_dict,
     algebra_to_dict,
+    check_total_dim,
     element_from_list,
     element_to_list,
     operator_from_dict,
@@ -30,11 +31,11 @@ from .core import (
 from .spectral import spectral_decomposition
 from .structure import center_basis, decompose_engaged_disengaged
 from .ordermaps import (
-    apply_order_iso,
     check_linearity,
     factorize_linear_order_iso,
     form_from_dict,
     grid_power_demo,
+    grid_total_dim,
 )
 from .verify import check_linearity_blackbox, check_order_preserving
 from .selftest import run_acceptance
@@ -89,6 +90,11 @@ def _parse_form(path: str, validate: bool):
         return form_from_dict(doc, validate=validate)
     except (ValueError, KeyError, TypeError) as err:
         raise _BadInput(f"{path}: {err}") from err
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise _BadInput(f"--trials must be non-negative, got {trials}")
 
 
 def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
@@ -202,16 +208,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_oiso(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
     # untrusted input: skip construction-time invariants, let sampling judge
     form = _parse_form(args.form, validate=False)
     rep_order = check_order_preserving(
-        lambda z: apply_order_iso(form, z), form.domain,
-        trials=args.trials, seed=args.seed,
+        form, form.domain, trials=args.trials, seed=args.seed
     )
     claimed_linear = check_linearity(form)
     rep_lin = check_linearity_blackbox(
-        lambda z: apply_order_iso(form, z), form.domain,
-        trials=max(50, args.trials // 10), seed=args.seed,
+        form, form.domain, trials=max(50, args.trials // 10), seed=args.seed
     )
     linearity_consistent = (not claimed_linear) or rep_lin.passed
     violations = (not rep_order.passed) or (not linearity_consistent)
@@ -238,15 +243,18 @@ def _cmd_verify_oiso(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_nonlinear(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
+    try:
+        check_total_dim(grid_total_dim(args.n_grid))
+    except ValueError as err:
+        raise _BadInput(f"--n-grid {args.n_grid}: {err}") from err
     alpha = args.power
     form = grid_power_demo(args.n_grid, lambda t: alpha if t <= 0.5 else 1.0)
     rep_order = check_order_preserving(
-        lambda z: apply_order_iso(form, z), form.domain,
-        trials=args.trials, seed=args.seed,
+        form, form.domain, trials=args.trials, seed=args.seed
     )
     rep_lin = check_linearity_blackbox(
-        lambda z: apply_order_iso(form, z), form.domain,
-        trials=max(50, args.trials // 10), seed=args.seed,
+        form, form.domain, trials=max(50, args.trials // 10), seed=args.seed
     )
     hom = [f for f in rep_lin.failures if f.predicate.startswith("homogeneous")]
     witness = hom[0] if hom else (rep_lin.failures[0] if rep_lin.failures else None)

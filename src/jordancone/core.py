@@ -28,6 +28,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 RCOND_SINGULAR = 1e-12
+# Largest total_dim accepted from input files and the CLI (exit code 1
+# above it).  The Jordan homomorphism test behind `factorize` holds about
+# eight (d(d+1)/2, d) float arrays, ~32 d^3 bytes, so memory grows as d^3.
+MAX_TOTAL_DIM = 256
 
 _KINDS = ("real", "spin", "sym")
 
@@ -411,7 +415,14 @@ def algebra_from_dict(doc: dict) -> AlgebraDescriptor:
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"factor size n must be an integer, got {n!r}")
         factors.append(FactorDescriptor(entry["kind"], n))
+    check_total_dim(sum(f.dim for f in factors))
     return AlgebraDescriptor(tuple(factors))
+
+
+def check_total_dim(total_dim: int) -> None:
+    """Raise ValueError when total_dim exceeds ``MAX_TOTAL_DIM``."""
+    if total_dim > MAX_TOTAL_DIM:
+        raise ValueError(f"total_dim {total_dim} exceeds MAX_TOTAL_DIM = {MAX_TOTAL_DIM}")
 
 
 def element_to_list(x: Element) -> list[float]:

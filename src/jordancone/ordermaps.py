@@ -42,7 +42,15 @@ from .core import (
     sym_to_matrix,
     unit,
 )
-from .spectral import INTERIOR_TOL, inv, is_positive, spectrum, sqrt
+from .spectral import (
+    INTERIOR_TOL,
+    POSITIVITY_TOL,
+    inv,
+    is_positive,
+    spectra,
+    spectrum,
+    sqrt,
+)
 from .structure import Decomposition, decompose_engaged_disengaged
 
 JORDAN_HOM_TOL = 1e-9
@@ -201,7 +209,7 @@ def factorize_linear_order_iso(op: LinearOperator) -> tuple[Element, LinearOpera
     if op.matrix.shape[0] != op.matrix.shape[1]:
         raise ValueError("factorization requires a square operator")
     z = op_apply(op, unit(op.domain))
-    if spectrum(z).min() <= INTERIOR_TOL:
+    if not spectrum(z).min() > INTERIOR_TOL:  # NaN fails too
         raise ValueError("Te not in interior of cone")
     y = sqrt(z)
     j = op_compose(quadratic_rep(inv(y)), op)
@@ -262,7 +270,7 @@ class OrderIsoForm:
             ):
                 raise ValueError("J must map the engaged subalgebras")
             if self.validate:
-                if spectrum(self.y).min() <= INTERIOR_TOL:
+                if not spectrum(self.y).min() > INTERIOR_TOL:  # NaN fails too
                     raise ValueError("y is not in the interior of the cone")
                 if not is_jordan_isomorphism(self.J):
                     raise ValueError("J is not a Jordan isomorphism")
@@ -302,21 +310,52 @@ def identity_form(algebra: AlgebraDescriptor) -> OrderIsoForm:
     return OrderIsoForm(algebra, algebra, tuple(range(n)), (Power(1.0),) * n, y, j)
 
 
+def _apply_rows(form: OrderIsoForm, x: np.ndarray) -> np.ndarray:
+    """The classified map on each row of an (N, d) array; no cone check.
+
+    Each bijection runs its own scalar ``__call__`` on every entry of its
+    column (a vectorized power can differ from ``**`` in the last bit).
+    The engaged part is one stacked matrix-vector product: every row goes
+    through the same BLAS call a single ``M @ x`` makes, which a
+    matrix-matrix product does not, so batched and single images agree
+    bitwise.
+    """
+    dd, cd = form.domain_decomposition, form.codomain_decomposition
+    out = np.zeros((x.shape[0], form.codomain.total_dim))
+    for src, dst, bij in zip(dd.disengaged_coordinates, form.sigma, form.f_p):
+        out[:, cd.disengaged_coordinates[dst]] = [
+            bij(max(t, 0.0)) for t in x[:, src].tolist()
+        ]
+    if dd.has_engaged:
+        xe = x[:, dd.engaged_slots]
+        out[:, cd.engaged_slots] = np.matmul(form.engaged_matrix, xe[:, :, None])[:, :, 0]
+    return out
+
+
 def apply_order_iso(form: OrderIsoForm, x: Element) -> Element:
     """Evaluate the classified map on a cone element."""
     if x.algebra != form.domain:
         raise ValueError("algebra mismatch")
     if not is_positive(x):
         raise ValueError("element not in cone")
-    dd, cd = form.domain_decomposition, form.codomain_decomposition
-    out = np.zeros(form.codomain.total_dim)
-    xd, xe = dd.split(x)
-    for i, bij in enumerate(form.f_p):
-        slot = cd.disengaged_coordinates[form.sigma[i]]
-        out[slot] = bij(max(float(xd[i]), 0.0))
-    if dd.has_engaged:
-        out[cd.engaged_slots] = form.engaged_matrix @ xe.coords
-    return Element(form.codomain, out)
+    return Element(form.codomain, _apply_rows(form, x.coords[None, :])[0])
+
+
+def apply_order_iso_rows(form: OrderIsoForm, x: np.ndarray) -> np.ndarray:
+    """`apply_order_iso` on each row of an (N, d) array of cone elements.
+
+    Row i of the result equals ``apply_order_iso`` of row i bitwise.  One
+    batched positivity check covers all rows.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != form.domain.total_dim:
+        raise ValueError(
+            f"coordinate array of shape {x.shape} does not match algebra "
+            f"dimension {form.domain.total_dim}"
+        )
+    if not (spectra(form.domain, x).min(axis=1) >= -POSITIVITY_TOL).all():
+        raise ValueError("element not in cone")
+    return _apply_rows(form, x)
 
 
 def invert_order_iso(form: OrderIsoForm) -> OrderIsoForm:
@@ -525,6 +564,16 @@ def random_order_iso(
 # the grid power demo: a non-linear order isomorphism on a discretized
 # version of the matrix-valued function algebra whose off-diagonal entries
 # vanish on the first half of the interval
+
+def grid_total_dim(n_grid: int) -> int:
+    """total_dim of `grid_power_demo`'s algebra, without building it.
+
+    The points t_k <= 1/2 are k = 0..(n_grid-1)//2, two slots each; the
+    others carry three sym(2) slots each.
+    """
+    low = (n_grid - 1) // 2 + 1
+    return 2 * low + 3 * (n_grid - low)
+
 
 def grid_power_demo(n_grid: int, lam: Callable[[float], float]) -> OrderIsoForm:
     """A coordinatewise power map on the scalar half of a grid algebra.

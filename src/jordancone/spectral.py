@@ -54,6 +54,34 @@ def spectrum(x: Element) -> np.ndarray:
     return out
 
 
+def spectra(algebra: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every row of an (N, d) coordinate array.
+
+    Row i is ``spectrum`` of row i: descending, with multiplicity.  One pass
+    of array operations per entry of ``algebra.product_groups``: scalar
+    slots as they are, spin blocks as s +- |u|, one stacked ``eigvalsh``
+    per sym(n) size.  Single elements keep `spectrum`, which is cheaper at
+    N = 1.
+    """
+    n = x.shape[0]
+    vals: list[np.ndarray] = []
+    for kind, slots, full in algebra.product_groups:
+        if kind == "scalar":
+            vals.append(x[:, slots])
+        elif kind == "spin":
+            b = x[:, slots]
+            s, u = b[..., 0], b[..., 1:]
+            # one dot product per row, as np.linalg.norm takes it in `spectrum`
+            r = np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0])
+            vals += [s + r, s - r]
+        else:
+            lam = np.linalg.eigvalsh(x[:, full])  # (N, factors, n)
+            vals.append(lam.reshape(n, lam.shape[1] * lam.shape[2]))
+    out = np.concatenate(vals, axis=1)
+    out[:, ::-1].sort(axis=1)
+    return out
+
+
 def is_positive(x: Element, tol: float = POSITIVITY_TOL) -> bool:
     return bool(spectrum(x).min() >= -tol)
 

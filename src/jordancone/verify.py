@@ -7,10 +7,15 @@ so every draw is a genuine candidate witness.  A sampling oracle can only
 refute extremality, never prove it: oracle-true means "no counterexample
 found in the given number of trials".
 
-Each trial depends only on (seed, trial index), so checks are
-embarrassingly parallel and reports merge associatively.  A violation that
-is not a finite number (a map that returned NaN, say) counts as infinite,
-so it always fails.
+The order and linearity checks draw all their samples at once: one
+``standard_normal((trials, 2, d))`` draw is the same stream as drawing
+``random_element`` v then w trial by trial, so the batched checks see the
+samples a per-trial loop would.  The cone points v o v come from one
+`jordan_products` call; an `OrderIsoForm` maps all of them in one
+`apply_order_iso_rows` call, while a black-box callable is called once per
+point; one `spectra` call then measures every defect.  A violation that is
+not a finite number (a map that returned NaN, say) counts as infinite, so
+it always fails.
 
 The center oracles recompute the center numerically, from the null space
 of the commutator system [L_{e_k}, L_{e_j}] and random central elements,
@@ -30,17 +35,16 @@ from .core import (
     Element,
     basis_element,
     inner_product,
-    jordan_product,
+    jordan_products,
     mult_operator,
     quadratic_rep,
-    random_element,
     as_rng,
 )
+from .ordermaps import OrderIsoForm, apply_order_iso_rows
 from .spectral import (
     is_positive,
-    order_unit_norm,
+    spectra,
     spectral_decomposition,
-    spectrum,
     sqrt,
     trace,
 )
@@ -157,13 +161,53 @@ def extreme_vector_oracle(
     return True
 
 
-def _violation(v: float) -> float:
-    """A violation magnitude clamped at 0; NaN and infinities count as inf."""
-    return max(0.0, v) if np.isfinite(v) else np.inf
+def _violations(v: np.ndarray) -> np.ndarray:
+    """Violation magnitudes clamped at 0; NaN and infinities count as inf."""
+    return np.where(np.isfinite(v), np.where(v > 0.0, v, 0.0), np.inf)
+
+
+def _draw_squares(
+    algebra: AlgebraDescriptor, trials: int, seed: int | np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows v o v and w o w for one (v, w) pair per trial.
+
+    One ``standard_normal((trials, 2, d))`` draw yields the same stream as
+    drawing ``random_element`` v then w trial by trial.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    s = as_rng(seed).standard_normal((trials, 2, algebra.total_dim))
+    v, w = s[:, 0], s[:, 1]
+    return jordan_products(algebra, v, v), jordan_products(algebra, w, w)
+
+
+def _images(
+    f: OrderIsoForm | Callable[[Element], Element],
+    algebra: AlgebraDescriptor,
+    inputs: list[np.ndarray],
+) -> tuple[AlgebraDescriptor, list[np.ndarray]]:
+    """The codomain and the image of every row of each (N, d) input array.
+
+    A form maps all rows in one `apply_order_iso_rows` call.  A callable is
+    called once per row as an `Element`, trial by trial, and in the order of
+    ``inputs`` within a trial.
+    """
+    if isinstance(f, OrderIsoForm):
+        if f.domain != algebra:
+            raise ValueError("algebra mismatch")
+        out = apply_order_iso_rows(f, np.concatenate(inputs))
+        return f.codomain, np.split(out, len(inputs))
+    n = inputs[0].shape[0]
+    images = [f(Element(algebra, a[i])) for i in range(n) for a in inputs]
+    codomain = images[0].algebra if images else algebra
+    if any(y.algebra != codomain for y in images):
+        raise ValueError("algebra mismatch")
+    out = np.array([y.coords for y in images]).reshape(n, len(inputs), codomain.total_dim)
+    return codomain, [out[:, k] for k in range(len(inputs))]
 
 
 def check_order_preserving(
-    f: Callable[[Element], Element],
+    f: OrderIsoForm | Callable[[Element], Element],
     algebra: AlgebraDescriptor,
     trials: int = 1000,
     seed: int = 0,
@@ -171,27 +215,30 @@ def check_order_preserving(
 ) -> SampleReport:
     """Sample ordered pairs x <= z and test f(x) <= f(z).
 
-    The violation magnitude is the negative part of the smallest eigenvalue
-    of f(z) - f(x).
+    ``f`` is an `OrderIsoForm` or any map of `Element`s.  The violation
+    magnitude is the negative part of the smallest eigenvalue of
+    f(z) - f(x).
     """
-    rng = as_rng(seed)
-    failures: list[Failure] = []
-    max_violation = 0.0
-    for _ in range(trials):
-        v = random_element(algebra, rng)
-        w = random_element(algebra, rng)
-        x = jordan_product(v, v)
-        z = x + jordan_product(w, w)
-        diff = f(z) - f(x)
-        violation = _violation(-float(spectrum(diff).min()))
-        max_violation = max(max_violation, violation)
-        if violation > tolerance:
-            failures.append(Failure((x, z), "order preserved", violation))
-    return SampleReport(trials, tolerance, max_violation, tuple(failures))
+    x, ww = _draw_squares(algebra, trials, seed)
+    z = x + ww
+    codomain, (fz, fx) = _images(f, algebra, [z, x])
+    violations = _violations(-spectra(codomain, fz - fx).min(axis=1))
+    failures = tuple(
+        Failure(
+            (Element(algebra, x[i]), Element(algebra, z[i])),
+            "order preserved",
+            float(violations[i]),
+        )
+        for i in np.flatnonzero(violations > tolerance)
+    )
+    return SampleReport(trials, tolerance, float(violations.max(initial=0.0)), failures)
+
+
+_SCALES = (0.5, 2.0, 3.0)
 
 
 def check_linearity_blackbox(
-    f: Callable[[Element], Element],
+    f: OrderIsoForm | Callable[[Element], Element],
     algebra: AlgebraDescriptor,
     trials: int = 1000,
     seed: int = 0,
@@ -199,30 +246,30 @@ def check_linearity_blackbox(
 ) -> SampleReport:
     """Sample additivity and homogeneity of a map on the cone.
 
-    Checks f(x + z) = f(x) + f(z) and f(a x) = a f(x) for a in
-    {1/2, 2, 3} on random cone points; magnitudes are order-unit norms of
-    the defects.
+    ``f`` is an `OrderIsoForm` or any map of `Element`s.  Checks
+    f(x + z) = f(x) + f(z) and f(a x) = a f(x) for a in {1/2, 2, 3} on
+    random cone points; magnitudes are order-unit norms of the defects.
+    Failures come trial by trial, the additivity check first.
     """
-    rng = as_rng(seed)
-    failures: list[Failure] = []
-    max_violation = 0.0
-    for _ in range(trials):
-        v = random_element(algebra, rng)
-        w = random_element(algebra, rng)
-        x = jordan_product(v, v)
-        z = jordan_product(w, w)
-        defect = f(x + z) - (f(x) + f(z))
-        violation = _violation(order_unit_norm(defect))
-        max_violation = max(max_violation, violation)
-        if violation > tolerance:
-            failures.append(Failure((x, z), "additive", violation))
-        for a in (0.5, 2.0, 3.0):
-            defect = f(a * x) - a * f(x)
-            violation = _violation(order_unit_norm(defect))
-            max_violation = max(max_violation, violation)
-            if violation > tolerance:
-                failures.append(Failure((x, a), f"homogeneous (a={a:g})", violation))
-    return SampleReport(trials, tolerance, max_violation, tuple(failures))
+    x, z = _draw_squares(algebra, trials, seed)
+    codomain, (fs, fx, fz, *fa) = _images(
+        f, algebra, [x + z, x, z] + [a * x for a in _SCALES]
+    )
+    defects = [fs - (fx + fz)] + [fxa - a * fx for a, fxa in zip(_SCALES, fa)]
+    stacked = np.stack(defects, axis=1).reshape(-1, codomain.total_dim)
+    violations = _violations(np.abs(spectra(codomain, stacked)).max(axis=1))
+    violations = violations.reshape(trials, len(defects))
+    failures = []
+    for i in np.flatnonzero((violations > tolerance).any(axis=1)):
+        xi = Element(algebra, x[i])
+        for k in np.flatnonzero(violations[i] > tolerance):
+            magnitude = float(violations[i, k])
+            if k == 0:
+                failures.append(Failure((xi, Element(algebra, z[i])), "additive", magnitude))
+            else:
+                a = _SCALES[k - 1]
+                failures.append(Failure((xi, a), f"homogeneous (a={a:g})", magnitude))
+    return SampleReport(trials, tolerance, float(violations.max(initial=0.0)), tuple(failures))
 
 
 # ---------------------------------------------------------------------------

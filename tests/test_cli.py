@@ -176,6 +176,28 @@ class TestBadInput:
         assert code == 1
         assert "must be an integer" in err
 
+    def test_dimension_cap_exits_1_before_allocating(self, tmp_path, capsys):
+        # sym(10^6) would need 5e11 coordinates; the cap is read off the sizes
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"factors": [{"kind": "sym", "n": 1000000}]}))
+        code, out, err = run(capsys, ["analyze", "--algebra", str(p)])
+        assert code == 1 and out == ""
+        assert "exceeds MAX_TOTAL_DIM" in err
+
+    def test_grid_dimension_cap_exits_1(self, capsys):
+        code, out, err = run(capsys, ["demo-nonlinear", "--n-grid", "1000000"])
+        assert code == 1 and out == ""
+        assert "exceeds MAX_TOTAL_DIM" in err
+
+    @pytest.mark.parametrize("verb", ["verify-oiso", "demo-nonlinear"])
+    def test_negative_trials_exit_1(self, files, capsys, verb):
+        argv = [verb, "--trials", "-5"]
+        if verb == "verify-oiso":
+            argv += ["--form", files["form.json"]]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "--trials must be non-negative" in err
+
     def test_non_finite_element_exits_1(self, tmp_path, capsys):
         alg = tmp_path / "alg.json"
         alg.write_text(json.dumps({"factors": [{"kind": "real"}, {"kind": "sym", "n": 2}]}))
@@ -211,6 +233,18 @@ class TestVerifyOiso:
         assert doc["order_preservation"]["failures"] == []
         assert doc["linearity"]["claimed_linear"] is False
         assert doc["violations_found"] is False
+
+    def test_zero_trials_clean_empty_report(self, files, capsys):
+        code, out, _ = run(
+            capsys,
+            ["verify-oiso", "--form", files["form.json"], "--trials", "0",
+             "--format", "structured"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["order_preservation"] == {
+            "trials": 0, "tolerance": 1e-9, "max_violation": 0.0, "failures": [],
+        }
 
     def test_nan_form_flagged(self, tmp_path, capsys):
         doc = jc.form_to_dict(jc.identity_form(jc.direct_sum(jc.real(), jc.sym(2))))

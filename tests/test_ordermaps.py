@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jordancone as jc
+from jordancone.ordermaps import grid_total_dim
 from jordancone.structure import decompose_engaged_disengaged
 
 
@@ -167,6 +168,12 @@ class TestFactorization:
         with pytest.raises(ValueError, match="Te not in interior of cone"):
             jc.factorize_linear_order_iso(jc.LinearOperator(S2, S2, m))
 
+    def test_nan_unit_image_not_interior(self):
+        # NaN > INTERIOR_TOL is false, so the unit-image check stops it before sqrt
+        t = jc.LinearOperator(S2, S2, np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="Te not in interior of cone"):
+            jc.factorize_linear_order_iso(t)
+
     def test_rejects_non_jordan_residual(self):
         rng = np.random.default_rng(3)
         y = jc.random_interior(S2, rng)
@@ -220,6 +227,15 @@ class TestOrderIsoForm:
                 jc.identity_operator(dec.engaged_subalgebra),
             )
 
+    def test_validates_nan_y(self):
+        dec = decompose_engaged_disengaged(R_S2)
+        with pytest.raises(ValueError, match="interior"):
+            jc.OrderIsoForm(
+                R_S2, R_S2, (0,), (jc.Power(1.0),),
+                elem(dec.engaged_subalgebra, [np.nan] * 3),
+                jc.identity_operator(dec.engaged_subalgebra),
+            )
+
     def test_validates_jordan_part(self):
         dec = decompose_engaged_disengaged(R_S2)
         with pytest.raises(ValueError, match="Jordan"):
@@ -251,6 +267,42 @@ class TestOrderIsoForm:
     def test_mismatched_cones_rejected(self):
         with pytest.raises(ValueError, match="not order isomorphic"):
             jc.OrderIsoForm(S2, RR, (), (), jc.unit(S2), jc.identity_operator(S2))
+
+
+class TestApplyRows:
+    FORMS = {
+        "mixed": lambda: jc.random_order_iso(
+            jc.direct_sum(jc.real(), jc.spin(3), jc.real(), jc.sym(2)),
+            jc.direct_sum(jc.sym(2), jc.real(), jc.spin(3), jc.real()),
+            seed=11,
+        ),
+        "engaged-only": lambda: jc.random_order_iso(S3, S3, seed=12),
+        "reals": lambda: jc.OrderIsoForm(
+            RR, RR, (1, 0),
+            (jc.Power(0.5), jc.PiecewiseLinear(((0, 0), (1, 2), (3, 4)))),
+            None, None,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_rows_equal_single_applies_bitwise(self, name):
+        form = self.FORMS[name]()
+        rng = np.random.default_rng(13)
+        x = np.array([jc.random_positive(form.domain, rng).coords for _ in range(30)])
+        got = jc.apply_order_iso_rows(form, x)
+        want = np.array([jc.apply_order_iso(form, elem(form.domain, r)).coords for r in x])
+        assert np.array_equal(got, want)
+
+    def test_any_row_outside_cone_rejected(self):
+        form = jc.identity_form(MIXED)
+        x = np.array([jc.random_positive(MIXED, s).coords for s in range(5)])
+        x[3, 0] = -1.0  # the real slot goes negative
+        with pytest.raises(ValueError, match="element not in cone"):
+            jc.apply_order_iso_rows(form, x)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="does not match"):
+            jc.apply_order_iso_rows(jc.identity_form(S2), np.ones((2, 4)))
 
 
 class TestInversionComposition:
@@ -435,6 +487,12 @@ class TestGridPowerDemo:
     def test_rejects_nonunit_lambda_on_matrix_half(self):
         with pytest.raises(ValueError, match="must be 1 on engaged blocks"):
             jc.grid_power_demo(4, lambda t: 2.0)
+
+    def test_total_dim_without_building(self):
+        for n in (2, 3, 8, 20, 21, 64):
+            form = jc.grid_power_demo(n, lambda t: 1.0)
+            assert grid_total_dim(n) == form.domain.total_dim
+        assert grid_total_dim(20) == 50 and grid_total_dim(64) == 160
 
     def test_layout(self):
         form = jc.grid_power_demo(8, lambda t: 2.0 if t <= 0.5 else 1.0)

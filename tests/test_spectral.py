@@ -61,6 +61,44 @@ class TestSpectrum:
             assert abs(n2 - n * n) <= 1e-10 * (1.0 + n * n)
 
 
+SPECTRA_ALGEBRAS = (
+    [jc.direct_sum(jc.real()), jc.direct_sum(jc.sym(1))]
+    + [jc.direct_sum(jc.spin(n)) for n in range(2, 8)]
+    + [jc.direct_sum(jc.sym(n)) for n in range(2, 7)]
+    + [
+        MIXED,
+        jc.direct_sum(jc.sym(2), jc.real(), jc.sym(2), jc.spin(2), jc.sym(1)),
+        jc.direct_sum(jc.spin(3), jc.sym(3), jc.spin(3), jc.real(), jc.sym(4)),
+    ]
+)
+
+
+class TestSpectra:
+    @pytest.mark.parametrize("algebra", SPECTRA_ALGEBRAS, ids=str)
+    def test_rows_match_spectrum(self, algebra):
+        rng = np.random.default_rng(8)
+        d = algebra.total_dim
+        e = algebra.unit_coords
+        rows = [
+            np.zeros(d),
+            e,
+            -3.0 * e + 1e-13 * rng.standard_normal(d),  # nearly degenerate
+            5.0 * e + 1e-7 * rng.standard_normal(d),
+        ]
+        rows += [rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for _ in range(40)]
+        x = np.array(rows)
+        got = jc.spectra(algebra, x)
+        for i, row in enumerate(rows):
+            want = jc.spectrum(elem(algebra, row))
+            tol = 1e-12 * (1.0 + np.abs(want).max())
+            assert got[i].shape == want.shape
+            assert np.abs(got[i] - want).max() <= tol
+        assert np.all(np.diff(got, axis=1) <= 0.0)
+
+    def test_empty_batch(self):
+        assert jc.spectra(MIXED, np.empty((0, MIXED.total_dim))).shape == (0, 6)
+
+
 class TestReconstruction:
     @pytest.mark.parametrize("algebra", [S2, SP3, MIXED, jc.direct_sum(jc.sym(5))])
     def test_random_elements(self, algebra):

@@ -8,6 +8,7 @@ from jordancone.spectral import trace
 S2 = jc.direct_sum(jc.sym(2))
 RR = jc.direct_sum(jc.real(), jc.real())
 R_S2 = jc.direct_sum(jc.real(), jc.sym(2))
+MIXED_V = jc.direct_sum(jc.real(), jc.spin(2), jc.sym(2))
 
 
 def elem(algebra, coords):
@@ -135,3 +136,98 @@ class TestLinearityBlackbox:
             first = doc["failures"][0]
             assert isinstance(first["inputs"][0], list)
             assert first["magnitude"] > 0
+
+
+def _forms():
+    """Forms covering both bijection kinds, permuted sigma and both split shapes."""
+    a = jc.direct_sum(jc.real(), jc.spin(3), jc.real(), jc.sym(2))
+    b = jc.direct_sum(jc.sym(2), jc.real(), jc.spin(3), jc.real())
+    engaged = jc.direct_sum(jc.sym(3), jc.spin(4))
+    r3 = jc.direct_sum(jc.real(), jc.real(), jc.real())
+    dec = jc.decompose_engaged_disengaged(R_S2)
+    tampered = jc.LinearOperator(
+        dec.engaged_subalgebra, dec.engaged_subalgebra,
+        np.eye(3) + 0.4 * np.eye(3, k=1),
+    )
+    return {
+        "powers-permuted": jc.random_order_iso(a, b, seed=3),
+        "piecewise-linear": jc.OrderIsoForm(
+            r3, r3, (2, 0, 1),
+            (
+                jc.Power(2.0),
+                jc.PiecewiseLinear(((0, 0), (1, 2), (3, 4))),
+                jc.PiecewiseLinear(((0, 0), (2, 1))),
+            ),
+            None, None,
+        ),
+        "engaged-only": jc.random_order_iso(engaged, engaged, seed=4),
+        "linear-mixed": jc.random_order_iso(a, a, seed=5, allow_nonlinear=False),
+        "grid": jc.grid_power_demo(6, lambda t: 1.7 if t <= 0.5 else 1.0),
+        # not order preserving: the order check has failures to compare too
+        "tampered": jc.OrderIsoForm(
+            R_S2, R_S2, (0,), (jc.Power(1.0),),
+            jc.unit(dec.engaged_subalgebra), tampered, validate=False,
+        ),
+    }
+
+
+FORMS = _forms()
+
+
+class TestFormPath:
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    @pytest.mark.parametrize("check", [jc.check_order_preserving, jc.check_linearity_blackbox])
+    def test_form_and_callable_reports_agree(self, name, check):
+        form = FORMS[name]
+        by_form = check(form, form.domain, trials=120, seed=7)
+        by_call = check(lambda z: jc.apply_order_iso(form, z), form.domain, trials=120, seed=7)
+        assert by_form.to_dict() == by_call.to_dict()
+        assert [f.predicate for f in by_form.failures] == [
+            f.predicate for f in by_call.failures
+        ]
+
+    def test_failures_exist_where_expected(self):
+        tampered, grid = FORMS["tampered"], FORMS["grid"]
+        assert not jc.check_order_preserving(tampered, R_S2, trials=120, seed=7).passed
+        rep = jc.check_linearity_blackbox(grid, grid.domain, trials=120, seed=7)
+        assert {f.predicate.split(" ")[0] for f in rep.failures} == {"additive", "homogeneous"}
+
+    def test_samples_and_call_order(self):
+        # one f call per row: z then x for each trial, the same stream as
+        # drawing random_element v then w trial by trial
+        seen = []
+        jc.check_order_preserving(lambda z: seen.append(z.coords) or z, MIXED_V, trials=5, seed=3)
+        rng = np.random.default_rng(3)
+        want = []
+        for _ in range(5):
+            v, w = jc.random_element(MIXED_V, rng), jc.random_element(MIXED_V, rng)
+            x = jc.jordan_product(v, v)
+            want += [(x + jc.jordan_product(w, w)).coords, x.coords]
+        assert np.array_equal(np.array(seen), np.array(want))
+
+    def test_linearity_calls_f_once_per_row(self):
+        calls = []
+        jc.check_linearity_blackbox(lambda z: calls.append(1) or z, MIXED_V, trials=7, seed=0)
+        assert len(calls) == 7 * 6  # x + z, x, z and three multiples of x
+
+    def test_failure_order_is_trial_by_trial(self):
+        grid = FORMS["grid"]
+        rep = jc.check_linearity_blackbox(grid, grid.domain, trials=30, seed=2)
+        per_trial = ["additive"] + [f"homogeneous (a={a:g})" for a in (0.5, 2.0, 3.0)]
+        assert [f.predicate for f in rep.failures] == per_trial * 30
+        for k in range(30):
+            group = rep.failures[4 * k:4 * k + 4]
+            assert all(f.inputs[0] is group[0].inputs[0] for f in group)
+
+    def test_zero_trials_and_negative_trials(self):
+        form = FORMS["powers-permuted"]
+        for check in (jc.check_order_preserving, jc.check_linearity_blackbox):
+            rep = check(form, form.domain, trials=0, seed=0)
+            assert rep.trials == 0 and rep.passed and rep.max_violation == 0.0
+            with pytest.raises(ValueError, match="non-negative"):
+                check(form, form.domain, trials=-1, seed=0)
+
+    def test_domain_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            jc.check_order_preserving(FORMS["grid"], S2, trials=3, seed=0)
+
