@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 malformed input, 2 mathematical precondition
 failure (with the library's diagnostic), 3 verification failures found.
 Structured output is a single JSON document with a ``schema_version``
 field; identical commands with identical seeds produce byte-identical
-structured reports.
+structured reports.  Every verb writes its report through `_dumps`, which
+matches ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte but
+formats a list of floats only once however often the document cites it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -97,10 +100,88 @@ def _check_trials(trials: int) -> None:
         raise _BadInput(f"--trials must be non-negative, got {trials}")
 
 
+def _float_words(text: str) -> str:
+    """Respell ``repr`` float text the way JSON does: NaN, Infinity."""
+    # a finite float's repr holds no "n"
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _atom(o) -> str | None:
+    """The JSON text of a scalar, or None when ``o`` is not one."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_words(float.__repr__(o))
+    return None
+
+
+def _key(k) -> str:
+    text = k if isinstance(k, str) else _atom(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    A non-empty list or tuple of floats is formatted once per object and
+    indent level, from one ``repr`` of the whole list, and reused wherever
+    it recurs; so the coordinate lists that `SampleReport.to_dict` shares
+    between failures cost one formatting each.  Raises TypeError on
+    whatever ``json.dumps`` rejects.
+    """
+    chunks: list[str] = []
+    formatted: dict[tuple[int, int], str] = {}
+
+    def put(o, level: int) -> None:
+        text = _atom(o)
+        if text is not None:
+            chunks.append(text)
+            return
+        inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+        if isinstance(o, (list, tuple)):
+            key = (id(o), level)
+            if key in formatted:
+                chunks.append(formatted[key])
+            elif not o:
+                chunks.append("[]")
+            elif set(map(type, o)) == {float}:
+                # list repr applies float.__repr__ to each item
+                body = _float_words(repr(list(o))[1:-1]).replace(", ", "," + inner)
+                formatted[key] = "[" + inner + body + outer + "]"
+                chunks.append(formatted[key])
+            else:
+                for n, v in enumerate(o):
+                    chunks.append("," + inner if n else "[" + inner)
+                    put(v, level + 1)
+                chunks.append(outer + "]")
+        elif isinstance(o, dict):
+            if not o:
+                chunks.append("{}")
+                return
+            for n, (k, v) in enumerate(sorted(o.items())):
+                chunks.append(("," if n else "{") + inner + _key(k) + ": ")
+                put(v, level + 1)
+            chunks.append(outer + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    put(doc, 0)
+    return "".join(chunks)
+
+
 def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
     if fmt == "structured":
-        doc = {"schema_version": SCHEMA_VERSION, **doc}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps({"schema_version": SCHEMA_VERSION, **doc}))
     else:
         for line in text_lines:
             print(line)

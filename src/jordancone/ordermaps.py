@@ -54,6 +54,7 @@ from .spectral import (
 from .structure import Decomposition, decompose_engaged_disengaged
 
 JORDAN_HOM_TOL = 1e-9
+HOM_PAIR_CHUNK = 4096  # basis pairs per product-kernel call in is_jordan_homomorphism
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +160,33 @@ MonotoneBijection = Union[Power, PiecewiseLinear]
 # ---------------------------------------------------------------------------
 # Jordan homomorphism tests and the U_y J factorization
 
-def _operator_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
-
-
-def is_jordan_homomorphism(op: LinearOperator, tol: float = JORDAN_HOM_TOL) -> bool:
+def is_jordan_homomorphism(
+    op: LinearOperator, tol: float = JORDAN_HOM_TOL, norm: float | None = None
+) -> bool:
     """Unital and multiplicative on all standard basis pairs.
 
-    All d(d+1)/2 pairs (e_i, e_j), i <= j, go through the product kernel in
-    one call; the largest defect |T(e_i o e_j) - T e_i o T e_j| must stay
-    within tol * (1 + |T|_2^2).
+    The d(d+1)/2 pairs (e_i, e_j), i <= j, go through the product kernel
+    ``HOM_PAIR_CHUNK`` pairs at a time, so the work arrays stay
+    O(chunk * d); the largest defect |T(e_i o e_j) - T e_i o T e_j| must
+    stay within tol * (1 + |T|_2^2), and the check stops at the first
+    chunk that exceeds it.  ``norm`` is |T|_2 when the caller has it.
     """
     e_dom, e_cod = unit(op.domain), unit(op.codomain)
     if np.abs(op_apply(op, e_dom).coords - e_cod.coords).max() > tol:
         return False
+    if norm is None:
+        norm = float(np.linalg.norm(op.matrix, 2))
+    scale = tol * (1.0 + norm**2)
     eye = np.eye(op.domain.total_dim)
     i, j = np.triu_indices(op.domain.total_dim)
     images = op.matrix.T  # row k is T e_k
-    lhs = jordan_products(op.domain, eye[i], eye[j]) @ images
-    rhs = jordan_products(op.codomain, images[i], images[j])
-    scale = tol * (1.0 + _operator_norm(op.matrix) ** 2)
-    return bool(np.abs(lhs - rhs).max() <= scale)
+    for start in range(0, i.size, HOM_PAIR_CHUNK):
+        ci, cj = i[start:start + HOM_PAIR_CHUNK], j[start:start + HOM_PAIR_CHUNK]
+        lhs = jordan_products(op.domain, eye[ci], eye[cj]) @ images
+        rhs = jordan_products(op.codomain, images[ci], images[cj])
+        if not np.abs(lhs - rhs).max() <= scale:  # NaN fails too
+            return False
+    return True
 
 
 def is_jordan_isomorphism(op: LinearOperator, tol: float = JORDAN_HOM_TOL) -> bool:
@@ -189,7 +196,8 @@ def is_jordan_isomorphism(op: LinearOperator, tol: float = JORDAN_HOM_TOL) -> bo
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_SINGULAR:
         return False
-    return is_jordan_homomorphism(op, tol)
+    # |T|_2 is the largest singular value, as np.linalg.norm(m, 2) computes it
+    return is_jordan_homomorphism(op, tol, norm=float(sv[0]))
 
 
 def factorize_linear_order_iso(op: LinearOperator) -> tuple[Element, LinearOperator]:

@@ -83,6 +83,22 @@ class SampleReport:
         return not self.failures
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready data.
+
+        An input `Element` becomes its coordinate list, built once per
+        distinct element (matched by identity): every failure that cites
+        the same element shares one list object, so a writer can format it
+        once.  The lists are shared; treat them as read-only.
+        """
+        coords: dict[int, list[float]] = {}
+
+        def listed(x):
+            if not isinstance(x, Element):
+                return x
+            if id(x) not in coords:
+                coords[id(x)] = x.coords.tolist()
+            return coords[id(x)]
+
         return {
             "trials": self.trials,
             "tolerance": self.tolerance,
@@ -91,10 +107,7 @@ class SampleReport:
                 {
                     "predicate": f.predicate,
                     "magnitude": float(f.magnitude),
-                    "inputs": [
-                        [float(c) for c in x.coords] if isinstance(x, Element) else x
-                        for x in f.inputs
-                    ],
+                    "inputs": [listed(x) for x in f.inputs],
                 }
                 for f in self.failures
             ],

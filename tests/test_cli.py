@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jordancone as jc
 from jordancone import cli
@@ -37,6 +39,10 @@ def files(tmp_path):
     j = np.array(bad["J"]["data"]).reshape(3, 3)
     bad["J"]["data"] = (j + 0.4 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])).ravel().tolist()
     write("tampered_form.json", bad)
+
+    nan = jc.form_to_dict(jc.identity_form(jc.direct_sum(jc.real(), jc.sym(2))))
+    nan["y"] = [float("nan")] * 3
+    write("nan_form.json", nan)
 
     (tmp_path / "broken.json").write_text("{not json")
     paths["broken.json"] = str(tmp_path / "broken.json")
@@ -246,12 +252,10 @@ class TestVerifyOiso:
             "trials": 0, "tolerance": 1e-9, "max_violation": 0.0, "failures": [],
         }
 
-    def test_nan_form_flagged(self, tmp_path, capsys):
-        doc = jc.form_to_dict(jc.identity_form(jc.direct_sum(jc.real(), jc.sym(2))))
-        doc["y"] = [float("nan")] * 3
-        p = tmp_path / "nan_form.json"
-        p.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, ["verify-oiso", "--form", str(p), "--trials", "50"])
+    def test_nan_form_flagged(self, files, capsys):
+        code, out, _ = run(
+            capsys, ["verify-oiso", "--form", files["nan_form.json"], "--trials", "50"]
+        )
         assert code == 3
         assert "order preservation: VIOLATED" in out
 
@@ -309,3 +313,81 @@ class TestSelftest:
         assert code == 3
         doc = json.loads(out)
         assert doc["all_passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# the structured writer: json.dumps(indent=2, sort_keys=True), byte for byte
+
+def _reference_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300]
+)
+_TEXT = st.text() | st.sampled_from(["", "\x00\x1f\x7f\n\t", "\u00e9\u4e2d\u2028", "\"\\/"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+    | st.lists(_FLOATS, min_size=1),
+    lambda kids: (
+        st.lists(kids, max_size=5)
+        | st.lists(kids, max_size=5).map(tuple)
+        | st.dictionaries(_TEXT, kids, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestStructuredWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    def test_matches_json_dumps(self, doc):
+        assert cli._dumps(doc) == _reference_dumps(doc)
+
+    def test_empty_containers(self):
+        for doc in ({}, [], (), {"a": [], "b": {}, "c": ()}, [[], {}, [[]]]):
+            assert cli._dumps(doc) == _reference_dumps(doc)
+
+    def test_list_shared_at_two_depths(self):
+        shared = [0.1, -0.0, float("nan"), float("inf"), 1e300, 5e-324]
+        doc = {"a": shared, "b": [shared, {"c": (shared, 1.5)}], "d": shared}
+        assert cli._dumps(doc) == _reference_dumps(doc)
+
+    def test_non_string_keys(self):
+        doc = {1: "a", 2.5: "b", -3: [1.0]}
+        assert cli._dumps(doc) == _reference_dumps(doc)
+        assert cli._dumps({None: 0}) == _reference_dumps({None: 0})
+        assert cli._dumps({True: 0}) == _reference_dumps({True: 0})
+
+    @pytest.mark.parametrize(
+        "doc", [np.int64(3), {"a": [1.0, np.int64(3)]}, {1.0, 2.0}, [{"a": {1, 2}}], {(1,): 0}]
+    )
+    def test_rejects_what_json_rejects(self, doc):
+        with pytest.raises(TypeError):
+            _reference_dumps(doc)
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
+
+
+# every structured verb; file names stand for the fixture's paths
+_CANONICAL = {
+    "analyze": ["analyze", "--algebra", "alg.json"],
+    "decompose": ["decompose", "--algebra", "alg.json"],
+    "factorize": ["factorize", "--algebra", "alg.json", "--map", "idmap.json"],
+    "spectrum": ["spectrum", "--algebra", "alg.json", "--element", "elt.json"],
+    "verify-oiso": ["verify-oiso", "--form", "form.json", "--trials", "200"],
+    "verify-oiso-tampered": ["verify-oiso", "--form", "tampered_form.json", "--trials", "300"],
+    "verify-oiso-nan": ["verify-oiso", "--form", "nan_form.json", "--trials", "50"],
+    "demo-nonlinear": ["demo-nonlinear", "--n-grid", "4", "--trials", "200"],
+    "selftest": ["selftest"],
+}
+
+
+class TestCanonicalOutput:
+    @pytest.mark.parametrize("case", sorted(_CANONICAL))
+    def test_structured_stdout_is_canonical_json(self, case, files, capsys, monkeypatch):
+        fake = [CriterionResult(1, "fake", True, "fine")]
+        monkeypatch.setattr(cli, "run_acceptance", lambda: (fake, 0.1))
+        argv = [files.get(a, a) for a in _CANONICAL[case]] + ["--format", "structured"]
+        _, out, _ = run(capsys, argv)
+        assert out == _reference_dumps(json.loads(out)) + "\n"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jordancone as jc
+from jordancone import ordermaps
 from jordancone.ordermaps import grid_total_dim
 from jordancone.structure import decompose_engaged_disengaged
 
@@ -112,6 +113,58 @@ class TestJordanHomomorphism:
             m = op.matrix.copy()
             m[3, 7] += 1e-6
             assert not jc.is_jordan_homomorphism(jc.LinearOperator(algebra, algebra, m))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_check_matches_one_shot(self, monkeypatch, chunk):
+        algebra = jc.direct_sum(jc.real(), jc.sym(5), jc.spin(4))
+        ops = []
+        for seed in range(5):
+            op = jc.random_jordan_automorphism(algebra, seed)
+            m = op.matrix.copy()
+            m[3, 7] += 1e-6
+            ops += [op, jc.LinearOperator(algebra, algebra, m)]
+        monkeypatch.setattr(ordermaps, "HOM_PAIR_CHUNK", 10**9)
+        one_shot = [jc.is_jordan_homomorphism(op) for op in ops]
+        monkeypatch.setattr(ordermaps, "HOM_PAIR_CHUNK", chunk)
+        assert [jc.is_jordan_homomorphism(op) for op in ops] == one_shot
+        assert one_shot == [True, False] * 5
+
+    def test_defect_in_last_chunk_is_found(self, monkeypatch):
+        # T = I + A on a trailing sym(2) block with A unital: every defective
+        # pair lies inside that block, which holds the last 6 of the pairs
+        algebra = jc.direct_sum(jc.real(), jc.sym(5), jc.sym(2))
+        d = algebra.total_dim
+        pairs = d * (d + 1) // 2
+        m = np.eye(d)
+        m[d - 2, d - 3] += 1e-6  # the off-diagonal picks up the (0,0) entry ...
+        m[d - 2, d - 1] -= 1e-6  # ... minus the (1,1) entry, so T e = e
+        e = jc.unit(algebra).coords
+        assert np.array_equal(m @ e, e)
+        i, j = np.triu_indices(d)
+        images, eye = m.T, np.eye(d)
+        defects = np.abs(
+            jc.jordan_products(algebra, eye[i], eye[j]) @ images
+            - jc.jordan_products(algebra, images[i], images[j])
+        ).max(axis=1)
+        assert np.flatnonzero(defects > 1e-9).min() >= pairs - 6
+
+        op = jc.LinearOperator(algebra, algebra, m)
+        monkeypatch.setattr(ordermaps, "HOM_PAIR_CHUNK", 10**9)
+        assert not jc.is_jordan_homomorphism(op)
+        monkeypatch.setattr(ordermaps, "HOM_PAIR_CHUNK", pairs - 6)
+        assert not jc.is_jordan_homomorphism(op)
+
+    def test_isomorphism_passes_its_norm(self, monkeypatch):
+        algebra = jc.direct_sum(jc.real(), jc.sym(3))
+        op = jc.random_jordan_automorphism(algebra, 2)
+        seen = []
+        real_hom = ordermaps.is_jordan_homomorphism
+        monkeypatch.setattr(
+            ordermaps, "is_jordan_homomorphism",
+            lambda op, tol, norm=None: seen.append(norm) or real_hom(op, tol, norm),
+        )
+        assert ordermaps.is_jordan_isomorphism(op)
+        assert seen == [np.linalg.norm(op.matrix, 2)]
 
     def test_isomorphism_needs_invertibility(self):
         m = np.zeros((3, 3))

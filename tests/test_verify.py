@@ -219,6 +219,23 @@ class TestFormPath:
             group = rep.failures[4 * k:4 * k + 4]
             assert all(f.inputs[0] is group[0].inputs[0] for f in group)
 
+    def test_report_shares_one_list_per_input(self):
+        grid = FORMS["grid"]
+        by_form = jc.check_linearity_blackbox(grid, grid.domain, trials=30, seed=2)
+        by_call = jc.check_linearity_blackbox(
+            lambda z: jc.apply_order_iso(grid, z), grid.domain, trials=30, seed=2
+        )
+        for rep in (by_form, by_call):
+            failures = rep.to_dict()["failures"]
+            assert len(failures) == 4 * 30
+            for k in range(30):
+                group = failures[4 * k:4 * k + 4]
+                x = group[0]["inputs"][0]
+                assert all(f["inputs"][0] is x for f in group)
+                assert x == rep.failures[4 * k].inputs[0].coords.tolist()
+                assert group[0]["inputs"][1] is not x  # z of the additive check
+            assert failures[0]["inputs"][0] is not failures[4]["inputs"][0]
+
     def test_zero_trials_and_negative_trials(self):
         form = FORMS["powers-permuted"]
         for check in (jc.check_order_preserving, jc.check_linearity_blackbox):
