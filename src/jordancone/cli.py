@@ -16,13 +16,12 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 import numpy as np
 
 from .core import (
-    AlgebraDescriptor,
     Element,
-    LinearOperator,
     algebra_from_dict,
     algebra_to_dict,
     check_total_dim,
@@ -63,34 +62,11 @@ def _load_json(path: str):
         raise _BadInput(f"{path}: {err}") from err
 
 
-def _parse_algebra(path: str) -> AlgebraDescriptor:
+def _parse(path: str, build: Callable):
+    """``build`` applied to the JSON document at ``path``; exit 1 on failure."""
     doc = _load_json(path)
     try:
-        return algebra_from_dict(doc)
-    except (ValueError, KeyError, TypeError) as err:
-        raise _BadInput(f"{path}: {err}") from err
-
-
-def _parse_element(algebra: AlgebraDescriptor, path: str) -> Element:
-    doc = _load_json(path)
-    try:
-        return element_from_list(algebra, doc)
-    except (ValueError, KeyError, TypeError) as err:
-        raise _BadInput(f"{path}: {err}") from err
-
-
-def _parse_operator(algebra: AlgebraDescriptor, path: str) -> LinearOperator:
-    doc = _load_json(path)
-    try:
-        return operator_from_dict(algebra, algebra, doc)
-    except (ValueError, KeyError, TypeError) as err:
-        raise _BadInput(f"{path}: {err}") from err
-
-
-def _parse_form(path: str, validate: bool):
-    doc = _load_json(path)
-    try:
-        return form_from_dict(doc, validate=validate)
+        return build(doc)
     except (ValueError, KeyError, TypeError) as err:
         raise _BadInput(f"{path}: {err}") from err
 
@@ -187,12 +163,8 @@ def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
             print(line)
 
 
-def _coords(x: Element) -> list[float]:
-    return element_to_list(x)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    algebra = _parse_algebra(args.algebra)
+    algebra = _parse(args.algebra, algebra_from_dict)
     dec = decompose_engaged_disengaged(algebra)
     center_dim = len(center_basis(algebra))
     doc = {
@@ -204,9 +176,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "disengaged": {
             "count": len(dec.disengaged_atoms),
             "coordinates": list(dec.disengaged_coordinates),
-            "atoms": [_coords(a) for a in dec.disengaged_atoms],
+            "atoms": [element_to_list(a) for a in dec.disengaged_atoms],
         },
-        "p_D": _coords(dec.p_D),
+        "p_D": element_to_list(dec.p_D),
         "engaged_factors": (
             algebra_to_dict(dec.engaged_subalgebra)["factors"]
             if dec.engaged_subalgebra is not None
@@ -227,14 +199,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    algebra = _parse_algebra(args.algebra)
-    x = _parse_element(algebra, args.element)
+    algebra = _parse(args.algebra, algebra_from_dict)
+    x = _parse(args.element, lambda doc: element_from_list(algebra, doc))
     d = spectral_decomposition(x)
     doc = {
         "verb": "spectrum",
         "algebra": algebra_to_dict(algebra),
         "eigenvalues": [float(v) for v in d.eigenvalues],
-        "idempotents": [_coords(p) for p in d.idempotents],
+        "idempotents": [element_to_list(p) for p in d.idempotents],
     }
     text = [f"eigenvalues: {[float(v) for v in d.eigenvalues]}"]
     text += [f"idempotent {i}: {p.coords.tolist()}" for i, p in enumerate(d.idempotents)]
@@ -243,13 +215,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
-    algebra = _parse_algebra(args.algebra)
-    op = _parse_operator(algebra, args.map)
+    algebra = _parse(args.algebra, algebra_from_dict)
+    op = _parse(args.map, lambda doc: operator_from_dict(algebra, algebra, doc))
     y, j = factorize_linear_order_iso(op)
     doc = {
         "verb": "factorize",
         "algebra": algebra_to_dict(algebra),
-        "y": _coords(y),
+        "y": element_to_list(y),
         "J": operator_to_dict(j),
     }
     text = [
@@ -261,15 +233,15 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    algebra = _parse_algebra(args.algebra)
+    algebra = _parse(args.algebra, algebra_from_dict)
     dec = decompose_engaged_disengaged(algebra)
     doc = {
         "verb": "decompose",
         "seed": args.seed,
         "algebra": algebra_to_dict(algebra),
-        "p_D": _coords(dec.p_D),
-        "p_E": _coords(dec.p_E),
-        "disengaged_atoms": [_coords(a) for a in dec.disengaged_atoms],
+        "p_D": element_to_list(dec.p_D),
+        "p_E": element_to_list(dec.p_E),
+        "disengaged_atoms": [element_to_list(a) for a in dec.disengaged_atoms],
         "disengaged_coordinates": list(dec.disengaged_coordinates),
         "engaged_factors": (
             algebra_to_dict(dec.engaged_subalgebra)["factors"]
@@ -291,7 +263,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_verify_oiso(args: argparse.Namespace) -> int:
     _check_trials(args.trials)
     # untrusted input: skip construction-time invariants, let sampling judge
-    form = _parse_form(args.form, validate=False)
+    form = _parse(args.form, lambda doc: form_from_dict(doc, validate=False))
     rep_order = check_order_preserving(
         form, form.domain, trials=args.trials, seed=args.seed
     )

@@ -37,6 +37,23 @@ INVERTIBILITY_TOL = 1e-10
 INTERIOR_TOL = 1e-9
 
 
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a matrix or a stack; NaN for non-finite ones.
+
+    LAPACK raises on a non-finite matrix of size >= 3 where size 2 yields
+    NaN.  Finite matrices keep their exact eigenvalues.
+    """
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
+        if not bad.any():
+            raise
+        out = np.full(m.shape[:-1], np.nan)
+        out[~bad] = np.linalg.eigvalsh(m[~bad])
+        return out
+
+
 def spectrum(x: Element) -> np.ndarray:
     """Eigenvalues of x, descending, with multiplicity."""
     vals: list[np.ndarray] = []
@@ -48,7 +65,7 @@ def spectrum(x: Element) -> np.ndarray:
             s, r = b[0], float(np.linalg.norm(b[1:]))
             vals.append(np.array([s + r, s - r]))
         else:
-            vals.append(np.linalg.eigvalsh(sym_to_matrix(b, f.n)))
+            vals.append(_eigvalsh(sym_to_matrix(b, f.n)))
     out = np.concatenate(vals)
     out[::-1].sort()
     return out
@@ -75,7 +92,7 @@ def spectra(algebra: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
             r = np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0])
             vals += [s + r, s - r]
         else:
-            lam = np.linalg.eigvalsh(x[:, full])  # (N, factors, n)
+            lam = _eigvalsh(x[:, full])  # (N, factors, n)
             vals.append(lam.reshape(n, lam.shape[1] * lam.shape[2]))
     out = np.concatenate(vals, axis=1)
     out[:, ::-1].sort(axis=1)
@@ -287,7 +304,7 @@ def _padded(algebra: AlgebraDescriptor, sl: slice, block: np.ndarray) -> Element
 
 
 def is_interior(x: Element, tol: float = INTERIOR_TOL) -> bool:
-    """Whether x lies in the open cone (all eigenvalues > tol)."""
+    """Whether x lies in the open cone (all eigenvalues > tol; NaN fails)."""
     return bool(spectrum(x).min() > tol)
 
 

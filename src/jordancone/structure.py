@@ -1,18 +1,19 @@
 """Projection and atom predicates, the center, and the engaged/disengaged
 decomposition of an algebra.
 
-A disengaged atom is detected through centrality (for atoms: disengaged,
-orthogonal-to-all-other-atoms, and central are equivalent properties),
-because centrality is a finite linear-algebra test while the definitional
-"not in the span of other extreme rays" quantifies over a continuum.  For
-the supported simple factors the center is spanned by the factor units and
-the disengaged atoms are exactly the units of the one-dimensional factors
-(Faraut & Koranyi, *Analysis on Symmetric Cones*, ch. III), so
-`center_basis` and `decompose_engaged_disengaged` read both off the
-descriptor: no randomness, no SVD.  The general numerical route (the null
-space of the commutator system and random central idempotents) lives in
-`verify` as an independent oracle that the tests and the acceptance suite
-check this route against.
+For the supported simple factors the center is spanned by the factor units
+and the disengaged atoms are exactly the units of the one-dimensional
+factors (Faraut & Koranyi, *Analysis on Symmetric Cones*, ch. III-V), so
+centrality, atoms, the center, the split and the codimension-one
+functionals are all read off the descriptor, with `spectrum` as the only
+numerical routine: no randomness, no SVD, no rank cutoff.  A disengaged
+atom is detected through centrality (for atoms: disengaged, orthogonal-to-
+all-other-atoms, and central are equivalent properties), because
+centrality is a finite test while the definitional "not in the span of
+other extreme rays" quantifies over a continuum.  The general numerical
+routes (the commutator null space, random central idempotents, the
+extremality sampler) live in `verify` as independent oracles that the
+tests and the acceptance suite check this module against.
 """
 
 from __future__ import annotations
@@ -21,26 +22,11 @@ import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (
-    AlgebraDescriptor,
-    Element,
-    basis_element,
-    jordan_product,
-    mult_operator,
-    quadratic_rep,
-)
-from .spectral import order_unit_norm
+from .core import AlgebraDescriptor, Element, jordan_product
+from .spectral import order_unit_norm, spectrum
 
-RANK_CUTOFF = 1e-9
 PROJECTION_TOL = 1e-10
 CENTRAL_TOL = 1e-10
-
-
-def numerical_rank(matrix: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > cutoff * sv[0]))
 
 
 def is_projection(p: Element, tol: float = PROJECTION_TOL) -> bool:
@@ -50,27 +36,27 @@ def is_projection(p: Element, tol: float = PROJECTION_TOL) -> bool:
 
 
 def is_atom(p: Element) -> bool:
-    """A minimal non-zero projection: rank(U_p) = 1."""
-    if not is_projection(p):
-        return False
-    if order_unit_norm(p) < 0.5:  # nonzero projections have norm 1
-        return False
-    return numerical_rank(quadratic_rep(p).matrix) == 1
+    """A minimal non-zero projection: exactly one eigenvalue is 1.
+
+    Once `is_projection` holds, every eigenvalue lies within about 2e-10 of
+    0 or 1, so counting those above 1/2 gives the rank of p.
+    """
+    return is_projection(p) and int(np.count_nonzero(spectrum(p) > 0.5)) == 1
 
 
 def is_central(x: Element, tol: float = CENTRAL_TOL) -> bool:
-    """Whether x operator-commutes with every element.
+    """Whether x lies in the center: the span of the factor units.
 
-    Checking L_x L_b = L_b L_x on the standard basis suffices by
-    bilinearity.
+    The residual of x after projecting each factor block onto its unit in
+    the trace form (X - (tr X / n) I for sym(n), (0, u) for spin, 0 for a
+    one-dimensional factor) must stay within tol * (1 + |x|) entrywise.
     """
-    lx = mult_operator(x).matrix
-    scale = tol * (1.0 + order_unit_norm(x))
-    for k in range(x.algebra.total_dim):
-        lb = mult_operator(basis_element(x.algebra, k)).matrix
-        if np.abs(lx @ lb - lb @ lx).max() > scale:
-            return False
-    return True
+    a = x.algebra
+    e = a.unit_coords
+    we = a.inner_weights * e
+    coeffs = np.add.reduceat(we * x.coords, a.offsets) / np.add.reduceat(we * e, a.offsets)
+    residual = x.coords - np.repeat(coeffs, [f.dim for f in a.factors]) * e
+    return bool(np.abs(residual).max() <= tol * (1.0 + order_unit_norm(x)))
 
 
 def _factor_unit(algebra: AlgebraDescriptor, index: int) -> Element:
@@ -171,13 +157,14 @@ def codim1_ideals(algebra: AlgebraDescriptor) -> list[tuple[Element, np.ndarray]
     For a central atom p the functional phi_p is defined by
     U_p x = phi_p(x) p; its kernel is a codimension-one ideal, and in
     finite dimension this list is exhaustive.  The functional is returned
-    as a coefficient row: phi_p(x) = row @ x.coords.
+    as a coefficient row, phi_p(x) = row @ x.coords: for the unit of a
+    one-dimensional factor it is the coordinate at that factor's slot.
     """
     dec = decompose_engaged_disengaged(algebra)
     out = []
     for atom, slot in zip(dec.disengaged_atoms, dec.disengaged_coordinates):
-        u_p = quadratic_rep(atom).matrix
-        row = u_p[slot] / atom.coords[slot]
+        row = np.zeros(algebra.total_dim)
+        row[slot] = 1.0
         row.setflags(write=False)
         out.append((atom, row))
     return out

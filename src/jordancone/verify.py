@@ -48,9 +48,10 @@ from .spectral import (
     sqrt,
     trace,
 )
-from .structure import RANK_CUTOFF
 
 SPAN_DISTANCE_TOL = 1e-7
+SAMPLE_CHUNK = 2048  # order-interval draws per batch in extreme_vector_oracle
+RANK_CUTOFF = 1e-9  # relative singular-value cutoff of the commutator system
 CENTER_GAP_TOL = 1e-6
 ORACLE_MAX_DIM = 40  # 8 * 40^4 B = 20 MB of commutator coordinates
 
@@ -141,16 +142,14 @@ def _uniform_order_interval(
     return out
 
 
-def extreme_vector_oracle(
-    x: Element, trials: int = 10_000, seed: int = 0, chunk: int = 2048
-) -> bool:
+def extreme_vector_oracle(x: Element, trials: int = 10_000, seed: int = 0) -> bool:
     """Sampling test for extremality of the ray through x.
 
     Requires x positive and trace-normalized (<x, e> = 1).  Draws random
     y in [0, x] and returns False as soon as one lands farther than
     ``SPAN_DISTANCE_TOL`` (in the trace norm) from the ray through x;
     returns True when all trials stay on the ray.  Independent of the
-    rank-based `structure.is_atom` test it is used to cross-check.
+    spectrum-based `structure.is_atom` test it is used to cross-check.
     """
     if not is_positive(x):
         raise ValueError("element not in cone")
@@ -163,7 +162,7 @@ def extreme_vector_oracle(
     xx = inner_product(x, x)
     done = 0
     while done < trials:
-        batch = min(chunk, trials - done)
+        batch = min(SAMPLE_CHUNK, trials - done)
         ys = _uniform_order_interval(x.algebra, rng, batch) @ m.T
         lam = np.clip(ys @ xw / xx, 0.0, None)
         resid = ys - lam[:, None] * x.coords

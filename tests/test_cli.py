@@ -259,6 +259,23 @@ class TestVerifyOiso:
         assert code == 3
         assert "order preservation: VIOLATED" in out
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_all_nan_y_counts_as_infinite(self, tmp_path, capsys, n):
+        # LAPACK raises on a NaN sym(3) block; the sampling must still report inf
+        form = jc.form_to_dict(
+            jc.identity_form(jc.direct_sum(jc.real(), jc.real(), jc.sym(n)))
+        )
+        form["y"] = [float("nan")] * (n * (n + 1) // 2)
+        path = tmp_path / "nan_form.json"
+        path.write_text(json.dumps(form))
+        code, out, err = run(
+            capsys,
+            ["verify-oiso", "--form", str(path), "--trials", "20", "--format", "structured"],
+        )
+        assert (code, err) == (3, "")
+        assert json.loads(out)["order_preservation"]["max_violation"] == float("inf")
+        assert '"max_violation": Infinity' in out
+
     def test_tampered_form_flagged(self, files, capsys):
         code, out, _ = run(
             capsys,

@@ -98,6 +98,22 @@ class TestSpectra:
     def test_empty_batch(self):
         assert jc.spectra(MIXED, np.empty((0, MIXED.total_dim))).shape == (0, 6)
 
+    def test_non_finite_blocks_give_nan(self):
+        # LAPACK raises on a non-finite sym(n >= 3) matrix; that block gets NaN
+        algebra = jc.direct_sum(jc.real(), jc.sym(3), jc.sym(3), jc.spin(2))
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((30, algebra.total_dim))
+        x[4, 3] = np.nan
+        x[9, 8:13] = np.inf
+        x[20] = np.nan
+        got = jc.spectra(algebra, x)
+        finite = [i for i in range(30) if i not in (4, 9, 20)]
+        np.testing.assert_array_equal(got[finite], jc.spectra(algebra, x[finite]))
+        for i in (4, 9):
+            assert np.isnan(got[i]).sum() == 3
+            np.testing.assert_array_equal(got[i], jc.spectrum(elem(algebra, x[i])))
+        assert np.isnan(got[20]).all()
+
 
 class TestReconstruction:
     @pytest.mark.parametrize("algebra", [S2, SP3, MIXED, jc.direct_sum(jc.sym(5))])
@@ -239,3 +255,9 @@ class TestHelpers:
     def test_is_interior(self):
         assert is_interior(jc.unit(MIXED))
         assert not is_interior(elem(S2, [1.0, 0.0, 0.0]))
+
+    def test_nan_element_is_neither_positive_nor_interior(self):
+        x = elem(jc.direct_sum(jc.sym(3)), [np.nan] * 6)
+        assert np.isnan(jc.spectrum(x)).all()
+        assert not jc.is_positive(x)
+        assert not is_interior(x)

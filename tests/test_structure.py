@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jordancone as jc
-from jordancone.structure import decompose_engaged_disengaged
+from jordancone.structure import CENTRAL_TOL, PROJECTION_TOL, decompose_engaged_disengaged
 
 
 S2 = jc.direct_sum(jc.sym(2))
@@ -39,6 +39,106 @@ class TestPredicates:
         assert jc.is_central(jc.unit(S2))
         assert not jc.is_central(elem(S2, [1.0, 0.0, 0.0]))
         assert jc.is_central(elem(R_S2, [1, 0, 0, 0]))
+
+
+MIXED_ALGEBRAS = [
+    R_S2,
+    RR_S3,
+    jc.direct_sum(jc.spin(3), jc.real()),
+    jc.direct_sum(jc.sym(1), jc.spin(2), jc.sym(2)),
+    jc.direct_sum(jc.sym(3), jc.spin(4)),
+    jc.direct_sum(jc.real(), jc.sym(2), jc.spin(2), jc.sym(1)),
+]
+
+
+def commutes_with_all(x, tol=CENTRAL_TOL):
+    """The commutator route: [L_x, L_b] = 0 for every basis element b."""
+    lx = jc.mult_operator(x).matrix
+    scale = tol * (1.0 + jc.order_unit_norm(x))
+    for k in range(x.algebra.total_dim):
+        lb = jc.mult_operator(jc.basis_element(x.algebra, k)).matrix
+        if np.abs(lx @ lb - lb @ lx).max() > scale:
+            return False
+    return True
+
+
+def rank_one_projection(p):
+    """The U_p route: a projection whose quadratic representation has rank 1."""
+    if not jc.is_projection(p):
+        return False
+    sv = np.linalg.svd(jc.quadratic_rep(p).matrix, compute_uv=False)
+    return sv[0] > 0.0 and int(np.count_nonzero(sv > 1e-9 * sv[0])) == 1
+
+
+class TestPredicatesAgainstOracles:
+    """The descriptor predicates against the numerical routes they replace.
+
+    Centrality is compared with the distance to the `center_oracle` span
+    and with the commutator route.  The commutator route is more lenient
+    for off-center parts between about 1.2 and 6.1 times ``CENTRAL_TOL``;
+    outside that band all three agree.
+    """
+
+    @pytest.mark.parametrize("algebra", MIXED_ALGEBRAS, ids=str)
+    def test_is_central(self, algebra):
+        rng = np.random.default_rng(11)
+        center = np.array([b.coords for b in jc.center_oracle(algebra)])
+        units = np.array([b.coords for b in jc.center_basis(algebra)])
+
+        def near_oracle_span(x):
+            off = x.coords - center.T @ (center @ x.coords)
+            return np.abs(off).max() <= CENTRAL_TOL * (1.0 + jc.order_unit_norm(x))
+
+        for _ in range(20):
+            z = rng.uniform(-1.0, 1.0, size=len(units)) @ units
+            # a direction orthogonal to the center, max-abs 1
+            u = rng.standard_normal(algebra.total_dim)
+            u -= center.T @ (center @ u)
+            u /= np.abs(u).max()
+            for k in (0.0, 0.1, 1.0, 10.0):
+                x = elem(algebra, z + k * CENTRAL_TOL * u)
+                got = jc.is_central(x)
+                assert got == (k <= 1.0)
+                assert got == near_oracle_span(x) == commutes_with_all(x)
+            x = jc.random_element(algebra, rng)
+            assert not jc.is_central(x) and not near_oracle_span(x)
+
+    @pytest.mark.parametrize("algebra", MIXED_ALGEBRAS, ids=str)
+    def test_is_atom(self, algebra):
+        rng = np.random.default_rng(12)
+        frame = [
+            a for _, a in jc.atomic_refinement(
+                jc.spectral_decomposition(jc.random_positive(algebra, rng))
+            )
+        ]
+        candidates = [(a, True) for a in frame]
+        candidates += [(frame[0] + frame[1], False), (jc.unit(algebra), False)]
+        for p, atom in candidates:
+            u = rng.standard_normal(algebra.total_dim)
+            u /= np.abs(u).max()
+            for k in (0.0, 0.1, 1.0, 10.0):
+                # along p itself p o p - p has norm k tol (1 + k tol)
+                scaled = (1.0 + k * PROJECTION_TOL) * p
+                assert jc.is_atom(scaled) == (atom and k <= 1.0)
+                assert jc.is_atom(scaled) == rank_one_projection(scaled)
+                q = elem(algebra, p.coords + k * PROJECTION_TOL * u)
+                assert jc.is_atom(q) == rank_one_projection(q)
+                if k <= 0.1:
+                    assert jc.is_atom(q) == atom
+
+    def test_structure_runs_without_svd(self, monkeypatch):
+        algebra = jc.direct_sum(jc.real(), jc.sym(16), jc.sym(1))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        decompose_engaged_disengaged.cache_clear()
+        dec = decompose_engaged_disengaged(algebra)
+        assert [row.argmax() for _, row in jc.codim1_ideals(algebra)] == [0, 137]
+        assert all(jc.is_atom(a) and jc.is_central(a) for a in dec.disengaged_atoms)
+        assert jc.is_central(dec.p_E) and not jc.is_atom(dec.p_E)
+        assert not jc.is_central(jc.random_element(algebra, 0))
 
 
 class TestCenter:
