@@ -18,8 +18,10 @@ see the `verify` module.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Union
 
 from .core import (
@@ -112,20 +114,18 @@ class PiecewiseLinear:
         vs = np.array([v for _, v in bp])
         if np.any(np.diff(ts) <= 0) or np.any(np.diff(vs) <= 0):
             raise ValueError("breakpoints must be strictly increasing (slopes > 0)")
+        object.__setattr__(self, "_ts", tuple(t for t, _ in bp))
+        object.__setattr__(self, "_vs", tuple(v for _, v in bp))
 
     def _slopes(self) -> np.ndarray:
-        ts = np.array([t for t, _ in self.breakpoints])
-        vs = np.array([v for _, v in self.breakpoints])
-        return np.diff(vs) / np.diff(ts)
+        return np.diff(self._vs) / np.diff(self._ts)
 
     def __call__(self, t: float) -> float:
         if t < 0:
             raise ValueError("monotone bijections act on the half-line t >= 0")
-        ts = [p[0] for p in self.breakpoints]
-        vs = [p[1] for p in self.breakpoints]
-        k = int(np.searchsorted(ts, t, side="right")) - 1
-        if k >= len(ts) - 1:
-            k = len(ts) - 2
+        ts, vs = self._ts, self._vs
+        # the segment left of t; NaN and inf sort past the last knot
+        k = min(bisect.bisect_right(ts, t), len(ts) - 1) - 1
         slope = (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
         return vs[k] + slope * (t - ts[k])
 
@@ -238,6 +238,10 @@ class OrderIsoForm:
     when the algebras have no engaged part.  Construction validates that y
     is interior and J a Jordan isomorphism unless ``validate=False`` (used
     to load untrusted forms for sampling-based verification).
+
+    Construction also fixes the slot plan both apply routes read: the
+    domain slot of each disengaged atom, the codomain slot its image lands
+    in (``sigma`` already applied), and the engaged slots on either side.
     """
 
     domain: AlgebraDescriptor
@@ -247,8 +251,11 @@ class OrderIsoForm:
     y: Element | None
     J: LinearOperator | None
     validate: bool = field(default=True, repr=False)
+    # set by the module's own constructors when J has just passed
+    # `is_jordan_isomorphism`, so validation does not run it a second time
+    _j_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _j_checked: bool) -> None:
         object.__setattr__(self, "sigma", tuple(int(i) for i in self.sigma))
         object.__setattr__(self, "f_p", tuple(self.f_p))
         dd = decompose_engaged_disengaged(self.domain)
@@ -279,7 +286,7 @@ class OrderIsoForm:
             if self.validate:
                 if not is_interior(self.y):
                     raise ValueError("y is not in the interior of the cone")
-                if not is_jordan_isomorphism(self.J):
+                if not _j_checked and not is_jordan_isomorphism(self.J):
                     raise ValueError("J is not a Jordan isomorphism")
             engaged = quadratic_rep(self.y).matrix @ self.J.matrix
         else:
@@ -287,6 +294,14 @@ class OrderIsoForm:
                 raise ValueError("no engaged part: y and J must be None")
             engaged = None
         object.__setattr__(self, "_engaged_matrix", engaged)
+        src = np.array(dd.disengaged_coordinates, dtype=np.intp)
+        dst = np.array([cd.disengaged_coordinates[j] for j in self.sigma], dtype=np.intp)
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        object.__setattr__(self, "_src", src)
+        object.__setattr__(self, "_dst", dst)
+        object.__setattr__(self, "_src_engaged", dd.engaged_slots)
+        object.__setattr__(self, "_dst_engaged", cd.engaged_slots)
 
     @property
     def domain_decomposition(self) -> Decomposition:
@@ -327,25 +342,34 @@ def _apply_rows(form: OrderIsoForm, x: np.ndarray) -> np.ndarray:
     matrix-matrix product does not, so batched and single images agree
     bitwise.
     """
-    dd, cd = form.domain_decomposition, form.codomain_decomposition
     out = np.zeros((x.shape[0], form.codomain.total_dim))
-    for src, dst, bij in zip(dd.disengaged_coordinates, form.sigma, form.f_p):
-        out[:, cd.disengaged_coordinates[dst]] = [
-            bij(max(t, 0.0)) for t in x[:, src].tolist()
-        ]
-    if dd.has_engaged:
-        xe = x[:, dd.engaged_slots]
-        out[:, cd.engaged_slots] = np.matmul(form.engaged_matrix, xe[:, :, None])[:, :, 0]
+    for src, dst, bij in zip(form._src.tolist(), form._dst.tolist(), form.f_p):
+        out[:, dst] = [bij(max(t, 0.0)) for t in x[:, src].tolist()]
+    m = form.engaged_matrix
+    if m is not None:
+        xe = x[:, form._src_engaged]
+        out[:, form._dst_engaged] = np.matmul(m, xe[:, :, None])[:, :, 0]
     return out
 
 
 def apply_order_iso(form: OrderIsoForm, x: Element) -> Element:
-    """Evaluate the classified map on a cone element."""
+    """Evaluate the classified map on a cone element.
+
+    Bitwise equal to `apply_order_iso_rows` on the one row x, without its
+    batching: one scalar call per disengaged slot and one matrix-vector
+    product for the engaged part.
+    """
     if x.algebra != form.domain:
         raise ValueError("algebra mismatch")
     if not is_positive(x):
         raise ValueError("element not in cone")
-    return Element(form.codomain, _apply_rows(form, x.coords[None, :])[0])
+    c = x.coords
+    out = np.zeros(form.codomain.total_dim)
+    out[form._dst] = [bij(max(t, 0.0)) for bij, t in zip(form.f_p, c[form._src].tolist())]
+    m = form.engaged_matrix
+    if m is not None:
+        out[form._dst_engaged] = m @ c[form._src_engaged]
+    return Element(form.codomain, out)
 
 
 def apply_order_iso_rows(form: OrderIsoForm, x: np.ndarray) -> np.ndarray:
@@ -382,7 +406,9 @@ def invert_order_iso(form: OrderIsoForm) -> OrderIsoForm:
         y, j = factorize_linear_order_iso(back)
     else:
         y = j = None
-    return OrderIsoForm(form.codomain, form.domain, tuple(sigma_inv), f_inv, y, j)
+    return OrderIsoForm(
+        form.codomain, form.domain, tuple(sigma_inv), f_inv, y, j, _j_checked=True
+    )
 
 
 def compose_order_iso(f: OrderIsoForm, g: OrderIsoForm) -> OrderIsoForm:
@@ -400,7 +426,7 @@ def compose_order_iso(f: OrderIsoForm, g: OrderIsoForm) -> OrderIsoForm:
         )
     else:
         y = j = None
-    return OrderIsoForm(g.domain, f.codomain, sigma, f_p, y, j)
+    return OrderIsoForm(g.domain, f.codomain, sigma, f_p, y, j, _j_checked=True)
 
 
 def check_linearity(form: OrderIsoForm) -> bool:
@@ -416,14 +442,10 @@ def linear_operator_of_form(form: OrderIsoForm) -> LinearOperator:
     """Assemble the full-coordinate linear operator of a linear form."""
     if not check_linearity(form):
         raise ValueError("form is not linear")
-    dd, cd = form.domain_decomposition, form.codomain_decomposition
     m = np.zeros((form.codomain.total_dim, form.domain.total_dim))
-    for i, bij in enumerate(form.f_p):
-        r = cd.disengaged_coordinates[form.sigma[i]]
-        c = dd.disengaged_coordinates[i]
-        m[r, c] = bij(1.0)  # the slope of a scaling
+    m[form._dst, form._src] = [bij(1.0) for bij in form.f_p]  # the slopes of scalings
     if form.engaged_matrix is not None:
-        m[np.ix_(cd.engaged_slots, dd.engaged_slots)] = form.engaged_matrix
+        m[np.ix_(form._dst_engaged, form._src_engaged)] = form.engaged_matrix
     return LinearOperator(form.domain, form.codomain, m)
 
 

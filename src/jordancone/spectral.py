@@ -18,6 +18,8 @@ dimension: n for sym(n), two for a spin factor, one for real), while a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 from typing import Callable
@@ -54,6 +56,22 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
         return out
 
 
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of one matrix; NaN pieces for a non-finite one.
+
+    The single-matrix counterpart of `_eigvalsh`: where LAPACK raises on a
+    non-finite matrix, every eigenvalue and eigenvector entry is NaN.
+    Finite matrices keep their exact pieces.
+    """
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        if np.isfinite(m).all():
+            raise
+        n = m.shape[-1]
+        return np.full(n, np.nan), np.full((n, n), np.nan)
+
+
 def spectrum(x: Element) -> np.ndarray:
     """Eigenvalues of x, descending, with multiplicity."""
     vals: list[np.ndarray] = []
@@ -77,8 +95,8 @@ def spectra(algebra: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
     Row i is ``spectrum`` of row i: descending, with multiplicity.  One pass
     of array operations per entry of ``algebra.product_groups``: scalar
     slots as they are, spin blocks as s +- |u|, one stacked ``eigvalsh``
-    per sym(n) size.  Single elements keep `spectrum`, which is cheaper at
-    N = 1.
+    per sym(n) size.  The single-element cone predicates, which need only
+    the smallest eigenvalue, use `_lowest`.
     """
     n = x.shape[0]
     vals: list[np.ndarray] = []
@@ -99,8 +117,37 @@ def spectra(algebra: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lowest(x: Element) -> float:
+    """The smallest eigenvalue of x; NaN if any eigenvalue is NaN.
+
+    Equal to ``spectrum(x).min()``: the same eigenvalues, without the
+    sorted array.  One pass over ``algebra.product_groups`` collects them
+    as floats: scalar slots as they are, s +- |u| per spin block (|u| from
+    the dot product ``np.linalg.norm`` takes), one stacked ``eigvalsh``
+    per sym(n) size.
+    """
+    c = x.coords
+    vals: list[float] = []
+    for kind, slots, full in x.algebra.product_groups:
+        if kind == "scalar":
+            vals += c[slots].tolist()
+        elif kind == "spin":
+            b = c[slots]
+            u = b[:, 1:]
+            r = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])
+            vals += (b[:, 0] - r).tolist()
+            vals += (b[:, 0] + r).tolist()  # NaN alone when s = -inf, |u| = inf
+        else:
+            vals += _eigvalsh(c[full]).ravel().tolist()
+    # the sum is NaN only if some value is NaN (or both infinities occur);
+    # otherwise Python's min sees a total order and is exact
+    if math.isnan(sum(vals)):
+        return float(np.min(vals))
+    return min(vals)
+
+
 def is_positive(x: Element, tol: float = POSITIVITY_TOL) -> bool:
-    return bool(spectrum(x).min() >= -tol)
+    return bool(_lowest(x) >= -tol)
 
 
 def order_unit_norm(x: Element) -> float:
@@ -149,7 +196,7 @@ def _factor_pieces(x: Element) -> list[tuple[float, int, np.ndarray]]:
                      np.concatenate(([0.5], 0.5 * sign * w)))
                 )
         else:
-            lams, vecs = np.linalg.eigh(sym_to_matrix(b, f.n))
+            lams, vecs = _eigh(sym_to_matrix(b, f.n))
             for k in range(f.n):
                 v = vecs[:, k]
                 pieces.append((float(lams[k]), fi, sym_from_matrix(np.outer(v, v), f.n)))
@@ -305,7 +352,7 @@ def _padded(algebra: AlgebraDescriptor, sl: slice, block: np.ndarray) -> Element
 
 def is_interior(x: Element, tol: float = INTERIOR_TOL) -> bool:
     """Whether x lies in the open cone (all eigenvalues > tol; NaN fails)."""
-    return bool(spectrum(x).min() > tol)
+    return bool(_lowest(x) > tol)
 
 
 def trace(x: Element) -> float:

@@ -12,6 +12,7 @@ from jordancone.structure import decompose_engaged_disengaged
 S2 = jc.direct_sum(jc.sym(2))
 S3 = jc.direct_sum(jc.sym(3))
 RR = jc.direct_sum(jc.real(), jc.real())
+RRR = jc.direct_sum(jc.real(), jc.real(), jc.real())
 R_S2 = jc.direct_sum(jc.real(), jc.sym(2))
 MIXED = jc.direct_sum(jc.real(), jc.sym(2), jc.spin(3))
 
@@ -80,6 +81,25 @@ class TestPiecewiseLinear:
             pl.compose(jc.Power(2.0))
         assert jc.Power(1.0).compose(pl) is pl
         assert pl.compose(jc.Power(1.0)) is pl
+
+    def test_eval_bitwise_equal_to_searchsorted_formula(self):
+        def reference(bp, t):
+            ts = [p[0] for p in bp]
+            vs = [p[1] for p in bp]
+            k = int(np.searchsorted(ts, t, side="right")) - 1
+            if k >= len(ts) - 1:
+                k = len(ts) - 2
+            slope = (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
+            return vs[k] + slope * (t - ts[k])
+
+        f = jc.PiecewiseLinear(((0.0, 0.0), (0.3, 0.7), (1.0, 2.0), (2.5, 2.1), (4.0, 9.0)))
+        knots = [t for t, _ in f.breakpoints]
+        between = [0.5 * (a + b) for a, b in zip(knots, knots[1:])]
+        past = [4.0 + 1e-12, 7.5, 1e300, np.inf, np.nan]
+        for t in [0.0, -0.0, 5e-324, *knots, *between, *past]:
+            got, want = f(t), reference(f.breakpoints, t)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), t
+        assert f._slopes().tobytes() == (np.diff([0.0, 0.7, 2.0, 2.1, 9.0]) / np.diff(knots)).tobytes()
 
     def test_scaling_detection(self):
         assert jc.PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 4.0))).is_scaling()
@@ -335,6 +355,21 @@ class TestApplyRows:
             (jc.Power(0.5), jc.PiecewiseLinear(((0, 0), (1, 2), (3, 4)))),
             None, None,
         ),
+        "three-reals": lambda: jc.OrderIsoForm(
+            RRR, RRR, (2, 0, 1),
+            (jc.Power(1.0), jc.Power(2.5), jc.PiecewiseLinear(((0, 0), (0.5, 2), (1, 3)))),
+            None, None,
+        ),
+        "spins": lambda: jc.random_order_iso(
+            jc.direct_sum(jc.real(), jc.spin(2), jc.real(), jc.spin(2)),
+            jc.direct_sum(jc.spin(2), jc.real(), jc.spin(2), jc.real()),
+            seed=14,
+        ),
+        "spin-sym": lambda: jc.random_order_iso(
+            jc.direct_sum(jc.real(), jc.spin(2), jc.sym(3)),
+            jc.direct_sum(jc.sym(3), jc.real(), jc.spin(2)),
+            seed=15,
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(FORMS))
@@ -342,9 +377,34 @@ class TestApplyRows:
         form = self.FORMS[name]()
         rng = np.random.default_rng(13)
         x = np.array([jc.random_positive(form.domain, rng).coords for _ in range(30)])
+        x[0] = 0.0
+        x[1] = -0.0  # max(-0.0, 0.0) keeps the sign; both routes must agree
+        x[2] = -x[2] * 0.0
         got = jc.apply_order_iso_rows(form, x)
-        want = np.array([jc.apply_order_iso(form, elem(form.domain, r)).coords for r in x])
-        assert np.array_equal(got, want)
+        for row, image in zip(x, got):
+            single = jc.apply_order_iso(form, elem(form.domain, row)).coords
+            assert single.tobytes() == image.tobytes()
+
+    def test_single_apply_linalg_calls(self, monkeypatch):
+        # the single-element path reads its cone check and slot plan off the
+        # descriptor and the form: spin blocks need no np.linalg routine and
+        # each sym(n) size needs one eigvalsh
+        calls = []
+        for name in [n for n in dir(np.linalg) if not n.startswith("_")]:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(np.linalg, name, counted)
+        spins = jc.direct_sum(jc.real(), jc.real(), jc.spin(2), jc.spin(2))
+        mixed = jc.direct_sum(jc.real(), jc.spin(2), jc.sym(3))
+        for algebra, want in ((spins, []), (mixed, ["eigvalsh"])):
+            form = jc.random_order_iso(algebra, algebra, seed=16)
+            x = jc.random_positive(algebra, 17)
+            calls.clear()
+            jc.apply_order_iso(form, x)
+            assert calls == want
 
     def test_any_row_outside_cone_rejected(self):
         form = jc.identity_form(MIXED)
@@ -378,6 +438,25 @@ class TestInversionComposition:
             z = jc.random_positive(MIXED, rng)
             out = jc.apply_order_iso(ident, z)
             assert jc.order_unit_norm(out - z) <= 1e-8 * (1.0 + jc.order_unit_norm(z))
+
+    def test_invert_and_compose_check_j_once(self, monkeypatch):
+        form = jc.random_order_iso(MIXED, MIXED, seed=9)
+        calls = []
+        check = ordermaps.is_jordan_isomorphism
+
+        def counted(op, *args, **kwargs):
+            calls.append(op)
+            return check(op, *args, **kwargs)
+
+        monkeypatch.setattr(ordermaps, "is_jordan_isomorphism", counted)
+        back = jc.invert_order_iso(form)
+        assert len(calls) == 1 and calls[0] is back.J
+        ident = jc.compose_order_iso(form, back)
+        assert len(calls) == 2 and calls[1] is ident.J
+        monkeypatch.undo()
+        for g in (back, ident):
+            assert jc.is_jordan_isomorphism(g.J)
+            assert jc.is_interior(g.y)
 
     def test_compose_requires_matching_algebras(self):
         f = jc.identity_form(S2)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import jordancone as jc
-from jordancone.spectral import is_interior, trace
+from jordancone import spectral
+from jordancone.spectral import INTERIOR_TOL, POSITIVITY_TOL, is_interior, trace
 
 
 S2 = jc.direct_sum(jc.sym(2))
@@ -114,6 +115,39 @@ class TestSpectra:
             np.testing.assert_array_equal(got[i], jc.spectrum(elem(algebra, x[i])))
         assert np.isnan(got[20]).all()
 
+    @pytest.mark.parametrize("algebra", SPECTRA_ALGEBRAS, ids=str)
+    def test_lowest_equals_spectrum_min(self, algebra):
+        rng = np.random.default_rng(10)
+        d = algebra.total_dim
+        e = algebra.unit_coords
+        rows = [np.zeros(d), e, -3.0 * e + 1e-13 * rng.standard_normal(d)]
+        rows += [rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for _ in range(40)]
+        # lowest eigenvalue exactly at the cone tolerances, on the unit and on one slot
+        for t in (POSITIVITY_TOL, -POSITIVITY_TOL, INTERIOR_TOL, -INTERIOR_TOL):
+            rows.append(t * e)
+            row = e.copy()
+            row[0] = t
+            rows.append(row)
+        for k in range(d):
+            for v in (np.nan, np.inf, -np.inf):
+                row = rng.standard_normal(d)
+                row[k] = v
+                rows.append(row)
+        rows.append(np.full(d, np.nan))
+        rows.append(np.full(d, -np.inf))  # spin: s + |u| = -inf + inf is NaN
+        both = e.copy()
+        both[0], both[-1] = np.inf, -np.inf
+        rows.append(both)
+        for row in rows:
+            x = elem(algebra, row)
+            with np.errstate(invalid="ignore"):  # inf - inf in a spin block
+                want = jc.spectrum(x).min()
+                got = spectral._lowest(x)
+                positive, interior = jc.is_positive(x), is_interior(x)
+            assert got == want or (np.isnan(got) and np.isnan(want)), row
+            assert positive == bool(want >= -POSITIVITY_TOL)
+            assert interior == bool(want > INTERIOR_TOL)
+
 
 class TestReconstruction:
     @pytest.mark.parametrize("algebra", [S2, SP3, MIXED, jc.direct_sum(jc.sym(5))])
@@ -195,6 +229,27 @@ class TestFunctionalCalculus:
             got = np.sort(jc.spectrum(fx))
             want = np.sort(jc.spectrum(x) ** 2 - 2.0)
             np.testing.assert_allclose(got, want, atol=1e-8 * (1 + np.abs(want).max()))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_sym_block_gives_nan_pieces(self, n):
+        # LAPACK raises on an all-NaN sym(n >= 3) matrix and yields NaN for n = 2
+        algebra = jc.direct_sum(jc.real(), jc.sym(n))
+        x = elem(algebra, [np.nan] * algebra.total_dim)
+        d = jc.spectral_decomposition(x)
+        assert np.isnan(d.eigenvalues).all()
+        with pytest.raises(ValueError, match="eigenvalue nan outside domain of pow"):
+            jc.power(x, 2)
+        with pytest.raises(ValueError, match="eigenvalue nan outside domain of id"):
+            jc.functional_calculus(x, lambda t: t, "id")
+
+    def test_finite_sym_blocks_keep_their_pieces(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 5):
+            m = rng.standard_normal((n, n))
+            m = m + m.T
+            got, want = spectral._eigh(m), np.linalg.eigh(m)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
     def test_custom_phi_domain_error(self):
         phi = lambda t: float(np.log(t)) if t > 0 else float("nan")
