@@ -225,22 +225,32 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         _check_same_algebra(self, other)
-        return Element(self.algebra, self.coords + other.coords)
+        return _fresh_element(self.algebra, self.coords + other.coords)
 
     def __sub__(self, other: "Element") -> "Element":
         _check_same_algebra(self, other)
-        return Element(self.algebra, self.coords - other.coords)
+        return _fresh_element(self.algebra, self.coords - other.coords)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, -self.coords)
+        return _fresh_element(self.algebra, -self.coords)
 
     def __mul__(self, scalar: float) -> "Element":
-        return Element(self.algebra, self.coords * float(scalar))
+        return _fresh_element(self.algebra, self.coords * float(scalar))
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Element({self.algebra}, {np.array2string(self.coords, precision=6)})"
+
+
+def _fresh_element(algebra: AlgebraDescriptor, coords: np.ndarray) -> Element:
+    """An `Element` over a fresh float array of length ``algebra.total_dim``
+    that nothing else holds, made read-only in place instead of copied."""
+    coords.setflags(write=False)
+    x = object.__new__(Element)
+    object.__setattr__(x, "algebra", algebra)
+    object.__setattr__(x, "coords", coords)
+    return x
 
 
 def unit(algebra: AlgebraDescriptor) -> Element:

@@ -29,6 +29,7 @@ from .core import (
     AlgebraDescriptor,
     Element,
     LinearOperator,
+    _fresh_element,
     direct_sum,
     jordan_product,
     jordan_products,
@@ -369,7 +370,7 @@ def apply_order_iso(form: OrderIsoForm, x: Element) -> Element:
     m = form.engaged_matrix
     if m is not None:
         out[form._dst_engaged] = m @ c[form._src_engaged]
-    return Element(form.codomain, out)
+    return _fresh_element(form.codomain, out)
 
 
 def apply_order_iso_rows(form: OrderIsoForm, x: np.ndarray) -> np.ndarray:

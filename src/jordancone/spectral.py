@@ -14,6 +14,11 @@ exact up to rounding however close eigenvalues of different factors lie.
 ``spectrum`` returns eigenvalues *with multiplicity* (one entry per atomic
 dimension: n for sym(n), two for a spin factor, one for real), while a
 ``SpectralDecomposition`` lists each merged eigenvalue once.
+
+Eigenvalues (`_group_eigenvalues`) and rank-one pieces (`_pieces`) are
+read off ``algebra.product_groups``, one kind and size at a time; every
+eigen computation here goes through one of the two, and `_eigh` is the
+only call into ``np.linalg``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from typing import Callable
 from .core import (
     AlgebraDescriptor,
     Element,
+    _fresh_element,
+    _triu_indices,
     inner_product,
-    sym_from_matrix,
-    sym_to_matrix,
     unit,
 )
 
@@ -39,52 +44,60 @@ INVERTIBILITY_TOL = 1e-10
 INTERIOR_TOL = 1e-9
 
 
-def _eigvalsh(m: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh`` of a matrix or a stack; NaN for non-finite ones.
+def _eigh(m: np.ndarray, vectors: bool = False):
+    """``np.linalg.eigvalsh`` (``eigh`` if ``vectors``) of a stack of matrices.
 
     LAPACK raises on a non-finite matrix of size >= 3 where size 2 yields
-    NaN.  Finite matrices keep their exact eigenvalues.
+    NaN; here a non-finite matrix gets NaN eigenvalues (and eigenvectors),
+    and the finite ones keep their exact bits.
     """
+    lapack = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
-        return np.linalg.eigvalsh(m)
+        return lapack(m)
     except np.linalg.LinAlgError:
         bad = ~np.isfinite(m).all(axis=(-2, -1))
         if not bad.any():
             raise
-        out = np.full(m.shape[:-1], np.nan)
-        out[~bad] = np.linalg.eigvalsh(m[~bad])
-        return out
+        good = lapack(m[~bad])
+        out = np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
+        for part, g in zip(out, good if vectors else [good]):
+            part[~bad] = g
+        return out if vectors else out[0]
 
 
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of one matrix; NaN pieces for a non-finite one.
+def _spin(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s + r, s - r, r)`` with r = |u| for spin rows b = (..., s, u_1..u_n)."""
+    s, u = b[..., 0], b[..., 1:]
+    # one stacked dot product per row; on a contiguous row it rounds as
+    # np.linalg.norm does
+    r = np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0])
+    return s + r, s - r, r
 
-    The single-matrix counterpart of `_eigvalsh`: where LAPACK raises on a
-    non-finite matrix, every eigenvalue and eigenvector entry is NaN.
-    Finite matrices keep their exact pieces.
+
+def _group_eigenvalues(kind: str, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Eigenvalues of one ``product_groups`` entry, as gathered by the caller.
+
+    The caller gathers ``c[slots]`` (``c[full]`` for sym) from one element,
+    or ``x[:, slots]`` from a batch; any leading shape passes through, and
+    each part ends in one axis of eigenvalues: scalar slots as they are,
+    spin rows as s + |u| and s - |u|, sym matrices through `_eigh`.
     """
-    try:
-        return np.linalg.eigh(m)
-    except np.linalg.LinAlgError:
-        if np.isfinite(m).all():
-            raise
-        n = m.shape[-1]
-        return np.full(n, np.nan), np.full((n, n), np.nan)
+    if kind == "scalar":
+        return (b,)
+    if kind == "spin":
+        return _spin(b)[:2]
+    lam = _eigh(b)  # (..., k, n)
+    return (lam.reshape(lam.shape[:-2] + (lam.shape[-2] * lam.shape[-1],)),)
 
 
 def spectrum(x: Element) -> np.ndarray:
     """Eigenvalues of x, descending, with multiplicity."""
-    vals: list[np.ndarray] = []
-    for f, sl in zip(x.algebra.factors, x.algebra.slices):
-        b = x.coords[sl]
-        if f.kind == "real":
-            vals.append(b)
-        elif f.kind == "spin":
-            s, r = b[0], float(np.linalg.norm(b[1:]))
-            vals.append(np.array([s + r, s - r]))
-        else:
-            vals.append(_eigvalsh(sym_to_matrix(b, f.n)))
-    out = np.concatenate(vals)
+    c = x.coords
+    out = np.concatenate([
+        part
+        for kind, slots, full in x.algebra.product_groups
+        for part in _group_eigenvalues(kind, c[slots if full is None else full])
+    ])
     out[::-1].sort()
     return out
 
@@ -92,27 +105,20 @@ def spectrum(x: Element) -> np.ndarray:
 def spectra(algebra: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
     """Eigenvalues of every row of an (N, d) coordinate array.
 
-    Row i is ``spectrum`` of row i: descending, with multiplicity.  One pass
-    of array operations per entry of ``algebra.product_groups``: scalar
-    slots as they are, spin blocks as s +- |u|, one stacked ``eigvalsh``
-    per sym(n) size.  The single-element cone predicates, which need only
-    the smallest eigenvalue, use `_lowest`.
+    Row i holds the eigenvalues of row i, descending, with multiplicity,
+    from one `_group_eigenvalues` call per entry of
+    ``algebra.product_groups``.  At N = 1 that is ``spectrum`` of the row.
+    For larger N a spin(n >= 4) row may differ from it in the last bit: the
+    gather ``x[:, slots]`` strides the last axis by 8 N bytes, so the
+    stacked ``matmul`` takes numpy's strided loop instead of the BLAS dot a
+    contiguous row gets.  The single-element cone predicates, which need
+    only the smallest eigenvalue, use `_lowest`.
     """
-    n = x.shape[0]
-    vals: list[np.ndarray] = []
-    for kind, slots, full in algebra.product_groups:
-        if kind == "scalar":
-            vals.append(x[:, slots])
-        elif kind == "spin":
-            b = x[:, slots]
-            s, u = b[..., 0], b[..., 1:]
-            # one dot product per row, as np.linalg.norm takes it in `spectrum`
-            r = np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0])
-            vals += [s + r, s - r]
-        else:
-            lam = _eigvalsh(x[:, full])  # (N, factors, n)
-            vals.append(lam.reshape(n, lam.shape[1] * lam.shape[2]))
-    out = np.concatenate(vals, axis=1)
+    out = np.concatenate([
+        part
+        for kind, slots, full in algebra.product_groups
+        for part in _group_eigenvalues(kind, x[:, slots if full is None else full])
+    ], axis=1)
     out[:, ::-1].sort(axis=1)
     return out
 
@@ -120,25 +126,14 @@ def spectra(algebra: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
 def _lowest(x: Element) -> float:
     """The smallest eigenvalue of x; NaN if any eigenvalue is NaN.
 
-    Equal to ``spectrum(x).min()``: the same eigenvalues, without the
-    sorted array.  One pass over ``algebra.product_groups`` collects them
-    as floats: scalar slots as they are, s +- |u| per spin block (|u| from
-    the dot product ``np.linalg.norm`` takes), one stacked ``eigvalsh``
-    per sym(n) size.
+    Equal to ``spectrum(x).min()``: the same `_group_eigenvalues` parts,
+    collected as floats, without the sorted array.
     """
     c = x.coords
     vals: list[float] = []
     for kind, slots, full in x.algebra.product_groups:
-        if kind == "scalar":
-            vals += c[slots].tolist()
-        elif kind == "spin":
-            b = c[slots]
-            u = b[:, 1:]
-            r = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])
-            vals += (b[:, 0] - r).tolist()
-            vals += (b[:, 0] + r).tolist()  # NaN alone when s = -inf, |u| = inf
-        else:
-            vals += _eigvalsh(c[full]).ravel().tolist()
+        for part in _group_eigenvalues(kind, c[slots if full is None else full]):
+            vals += part.tolist()
     # the sum is NaN only if some value is NaN (or both infinities occur);
     # otherwise Python's min sees a total order and is exact
     if math.isnan(sum(vals)):
@@ -175,32 +170,48 @@ class SpectralDecomposition:
         return Element(self.algebra, c)
 
 
-def _factor_pieces(x: Element) -> list[tuple[float, int, np.ndarray]]:
-    """Rank-one spectral pieces (eigenvalue, factor index, block coords)."""
-    pieces: list[tuple[float, int, np.ndarray]] = []
-    for fi, (f, sl) in enumerate(zip(x.algebra.factors, x.algebra.slices)):
-        b = x.coords[sl]
-        if f.kind == "real":
-            pieces.append((float(b[0]), fi, np.array([1.0])))
-        elif f.kind == "spin":
-            s, u = b[0], b[1:]
-            r = float(np.linalg.norm(u))
-            if r == 0.0:
-                w = np.zeros(f.n)
-                w[0] = 1.0  # degenerate direction: first basis vector
-            else:
-                w = u / r
-            for sign in (1.0, -1.0):
-                pieces.append(
-                    (float(s + sign * r), fi,
-                     np.concatenate(([0.5], 0.5 * sign * w)))
-                )
+def _pieces(x: Element) -> list[tuple[float, slice, np.ndarray | float]]:
+    """Rank-one spectral pieces (eigenvalue, factor slice, block coords) of x.
+
+    One pass over ``algebra.product_groups``: a scalar slot is its own piece
+    (block 1.0); a spin block gives (1/2)(1, +-w) for s +- |u|, with
+    w = u / |u| (the first basis vector when u = 0); eigenvector v of a sym
+    block, from one `_eigh` per size, gives the block of v v^T.  Listed in
+    factor order (spin + before -, sym eigenvectors 0..n-1 within a factor).
+    """
+    c = x.coords
+    pieces: list[tuple[float, slice, np.ndarray | float]] = []
+    for kind, slots, full in x.algebra.product_groups:
+        b = c[slots if full is None else full]
+        if kind == "scalar":
+            factors = [[(lam, 1.0)] for lam in b.tolist()]
+        elif kind == "spin":
+            hi, lo, r = _spin(b)
+            zero = r == 0.0
+            w = b[:, 1:] / (r + zero)[:, None]
+            if zero.any():  # degenerate direction: first basis vector
+                w[zero] = 0.0
+                w[zero, 0] = 1.0
+            halves = np.empty((2,) + b.shape)
+            halves[..., 0] = 0.5
+            halves[..., 1:] = np.multiply.outer((0.5, -0.5), w)
+            factors = [[(a, p), (z, m)] for a, z, p, m in zip(hi.tolist(), lo.tolist(), *halves)]
         else:
-            lams, vecs = _eigh(sym_to_matrix(b, f.n))
-            for k in range(f.n):
-                v = vecs[:, k]
-                pieces.append((float(lams[k]), fi, sym_from_matrix(np.outer(v, v), f.n)))
+            lams, vecs = _eigh(b, vectors=True)  # (k, n), (k, n, n)
+            iu, ju = _triu_indices(b.shape[-1])
+            outer = vecs[:, iu, :] * vecs[:, ju, :]  # column j: block of v_j v_j^T
+            factors = [list(zip(lam, blk.T)) for lam, blk in zip(lams.tolist(), outer)]
+        for row, factor in zip(slots.reshape(len(factors), -1).tolist(), factors):
+            sl = slice(row[0], row[-1] + 1)
+            pieces += [(lam, sl, block) for lam, block in factor]
+    # factor order, stable within a factor: the callers' clustering scale
+    # and their sort of NaN eigenvalues depend on it
+    pieces.sort(key=lambda t: t[1].start)
     return pieces
+
+
+def _descending(piece: tuple[float, slice, np.ndarray | float]) -> tuple[float, int]:
+    return -piece[0], piece[1].start  # then factor order: offsets grow with it
 
 
 def spectral_decomposition(x: Element) -> SpectralDecomposition:
@@ -210,23 +221,23 @@ def spectral_decomposition(x: Element) -> SpectralDecomposition:
     are merged into one idempotent, across factors.
     """
     algebra = x.algebra
-    pieces = _factor_pieces(x)
+    pieces = _pieces(x)
     scale = max(abs(lam) for lam, _, _ in pieces)
     tol = CLUSTER_RTOL * (1.0 + scale)
-    pieces.sort(key=lambda t: (-t[0], t[1]))
+    pieces.sort(key=_descending)
 
     eigenvalues: list[float] = []
     idempotents: list[Element] = []
-    group: list[tuple[float, int, np.ndarray]] = []
+    group: list[tuple[float, slice, np.ndarray | float]] = []
 
     def flush() -> None:
         if not group:
             return
         c = np.zeros(algebra.total_dim)
-        for _, fi, block in group:
-            c[algebra.slices[fi]] += block
+        for _, sl, block in group:
+            c[sl] += block
         eigenvalues.append(sum(lam for lam, _, _ in group) / len(group))
-        idempotents.append(Element(algebra, c))
+        idempotents.append(_fresh_element(algebra, c))
         group.clear()
 
     for piece in pieces:
@@ -248,14 +259,13 @@ def functional_calculus(
     descending order; the first one mapped to a non-finite value is named
     in the error.
     """
-    slices = x.algebra.slices
     c = np.zeros(x.algebra.total_dim)
-    for lam, fi, block in sorted(_factor_pieces(x), key=lambda t: (-t[0], t[1])):
+    for lam, sl, block in sorted(_pieces(x), key=_descending):
         val = phi(lam)
         if not np.isfinite(val):
             raise ValueError(f"eigenvalue {lam:.9g} outside domain of {name}")
-        c[slices[fi]] += val * block
-    return Element(x.algebra, c)
+        c[sl] += val * block
+    return _fresh_element(x.algebra, c)
 
 
 def sqrt(x: Element) -> Element:
@@ -301,53 +311,26 @@ def power(x: Element, alpha: float) -> Element:
 def atomic_refinement(d: SpectralDecomposition) -> list[tuple[float, Element]]:
     """Split a spectral frame into rank-one idempotents (atoms).
 
-    Each sym-factor idempotent of rank r splits into r rank-one pieces via
-    its eigenvectors; a full spin-factor unit splits as (1/2)(1, w) +
-    (1/2)(1, -w) along the first basis direction; spin half-idempotents and
-    real units are atoms already.  The result is an orthogonal family of
-    atoms a_i with sum_i lambda_i a_i equal to the decomposed element and
-    sum_i a_i equal to the algebra unit (zero eigenvalues are kept).
+    Each idempotent p keeps those of its own rank-one pieces (`_pieces`)
+    whose eigenvalue exceeds 1/2: a rank-r sym block splits along r
+    eigenvectors, a full spin-factor unit into (1/2)(1, +-e_1), a spin
+    half-idempotent (1/2, u) comes back as (1/2, u / (2|u|)) and a real
+    unit as it is.  The result is an orthogonal family of atoms a_i with
+    sum_i lambda_i a_i equal to the decomposed element and sum_i a_i equal
+    to the algebra unit (zero eigenvalues are kept).  A non-finite
+    eigenvalue of the frame or of one of its idempotents raises ValueError.
     """
-    algebra = d.algebra
     out: list[tuple[float, Element]] = []
-    for lam, p in zip(d.eigenvalues, d.idempotents):
-        for f, sl in zip(algebra.factors, algebra.slices):
-            b = p.coords[sl]
-            if f.kind == "real":
-                if b[0] > 0.5:
-                    out.append((float(lam), _padded(algebra, sl, np.array([1.0]))))
-            elif f.kind == "spin":
-                s = b[0]
-                # valid spin idempotent blocks have s in {0, 1/2, 1}
-                if s >= 0.75:
-                    w = np.zeros(f.n)
-                    w[0] = 1.0
-                    for sign in (1.0, -1.0):
-                        out.append(
-                            (float(lam),
-                             _padded(algebra, sl, np.concatenate(([0.5], 0.5 * sign * w))))
-                        )
-                elif s > 0.25:
-                    out.append((float(lam), _padded(algebra, sl, b)))
-            else:
-                m = sym_to_matrix(b, f.n)
-                if np.abs(m).max() < 0.25:
-                    continue
-                lams, vecs = np.linalg.eigh(m)
-                for k in range(f.n):
-                    if lams[k] > 0.5:
-                        v = vecs[:, k]
-                        out.append(
-                            (float(lam),
-                             _padded(algebra, sl, sym_from_matrix(np.outer(v, v), f.n)))
-                        )
+    for lam, p in zip(d.eigenvalues.tolist(), d.idempotents):
+        for mu, sl, block in _pieces(p):
+            for v in (lam, mu):
+                if not math.isfinite(v):
+                    raise ValueError(f"eigenvalue {v:.9g} outside domain of atomic_refinement")
+            if mu > 0.5:
+                c = np.zeros(d.algebra.total_dim)
+                c[sl] = block
+                out.append((lam, _fresh_element(d.algebra, c)))
     return out
-
-
-def _padded(algebra: AlgebraDescriptor, sl: slice, block: np.ndarray) -> Element:
-    c = np.zeros(algebra.total_dim)
-    c[sl] = block
-    return Element(algebra, c)
 
 
 def is_interior(x: Element, tol: float = INTERIOR_TOL) -> bool:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jordancone as jc
+from jordancone.core import _fresh_element
 
 
 S2 = jc.direct_sum(jc.sym(2))
@@ -42,6 +43,24 @@ class TestDescriptors:
         x = jc.unit(S2)
         with pytest.raises(ValueError):
             x.coords[0] = 5.0
+
+    def test_public_constructor_copies(self):
+        arr = np.array([1.0, 2.0, 3.0])
+        x = jc.Element(S2, arr)
+        assert arr.flags.writeable and not x.coords.flags.writeable
+        assert not np.shares_memory(arr, x.coords)
+        arr[0] = 7.0
+        assert x.coords[0] == 1.0
+
+    def test_fresh_arrays_are_taken_read_only(self):
+        arr = np.array([1.0, 2.0, 3.0])
+        x = _fresh_element(S2, arr)
+        assert x.coords is arr and not arr.flags.writeable
+        y = jc.Element(S2, [4.0, 5.0, 6.0])
+        for z in (x + y, x - y, -x, 2.0 * x, x * 2.0):
+            assert not z.coords.flags.writeable
+            assert not np.shares_memory(z.coords, x.coords)
+            assert not np.shares_memory(z.coords, y.coords)
 
 
 class TestJordanProduct:

@@ -3,6 +3,7 @@ import pytest
 
 import jordancone as jc
 from jordancone import spectral
+from jordancone.core import sym_from_matrix, sym_to_matrix
 from jordancone.spectral import INTERIOR_TOL, POSITIVITY_TOL, is_interior, trace
 
 
@@ -243,13 +244,28 @@ class TestFunctionalCalculus:
             jc.functional_calculus(x, lambda t: t, "id")
 
     def test_finite_sym_blocks_keep_their_pieces(self):
+        # the guarded wrapper, on one matrix or on a stack holding a
+        # non-finite one, gives each finite matrix the bits of its own
+        # np.linalg.eigh (np.linalg.eigvalsh without vectors)
         rng = np.random.default_rng(11)
         for n in (2, 3, 5):
-            m = rng.standard_normal((n, n))
-            m = m + m.T
-            got, want = spectral._eigh(m), np.linalg.eigh(m)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+            m = rng.standard_normal((3, n, n))
+            m = m + m.transpose(0, 2, 1)
+            bad = m.copy()
+            bad[1, 0, 0] = np.nan
+            for k in range(3):
+                want = np.linalg.eigh(m[k])
+                for got in (spectral._eigh(m[k], vectors=True),
+                            [a[k] for a in spectral._eigh(m, vectors=True)]):
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+                if k != 1:
+                    got = [a[k] for a in spectral._eigh(bad, vectors=True)]
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+                    assert spectral._eigh(bad)[k].tobytes() == np.linalg.eigvalsh(m[k]).tobytes()
+            if n > 2:  # LAPACK raises there; size 2 gives NaN by itself
+                assert np.isnan(spectral._eigh(bad, vectors=True)[1][1]).all()
 
     def test_custom_phi_domain_error(self):
         phi = lambda t: float(np.log(t)) if t > 0 else float("nan")
@@ -316,3 +332,272 @@ class TestHelpers:
         assert np.isnan(jc.spectrum(x)).all()
         assert not jc.is_positive(x)
         assert not is_interior(x)
+
+
+# ---------------------------------------------------------------------------
+# The per-factor routes that the grouped eigen kernel replaced, kept as
+# references.  `spectral` now reads every eigenvalue and every rank-one piece
+# off ``algebra.product_groups``; these loop over the factors one at a time.
+
+
+def ref_spectrum(x):
+    """Eigenvalues of x, descending, with multiplicity (per factor)."""
+    vals = []
+    for f, sl in zip(x.algebra.factors, x.algebra.slices):
+        b = x.coords[sl]
+        if f.kind == "real":
+            vals.append(b)
+        elif f.kind == "spin":
+            s, r = b[0], float(np.linalg.norm(b[1:]))
+            vals.append(np.array([s + r, s - r]))
+        else:
+            vals.append(spectral._eigh(sym_to_matrix(b, f.n)))
+    out = np.concatenate(vals)
+    out[::-1].sort()
+    return out
+
+
+def ref_factor_pieces(x):
+    """Rank-one spectral pieces (eigenvalue, factor index, block coords)."""
+    pieces = []
+    for fi, (f, sl) in enumerate(zip(x.algebra.factors, x.algebra.slices)):
+        b = x.coords[sl]
+        if f.kind == "real":
+            pieces.append((float(b[0]), fi, np.array([1.0])))
+        elif f.kind == "spin":
+            s, u = b[0], b[1:]
+            r = float(np.linalg.norm(u))
+            if r == 0.0:
+                w = np.zeros(f.n)
+                w[0] = 1.0
+            else:
+                w = u / r
+            for sign in (1.0, -1.0):
+                pieces.append(
+                    (float(s + sign * r), fi, np.concatenate(([0.5], 0.5 * sign * w)))
+                )
+        else:
+            lams, vecs = spectral._eigh(sym_to_matrix(b, f.n), vectors=True)
+            for k in range(f.n):
+                v = vecs[:, k]
+                pieces.append(
+                    (float(lams[k]), fi, sym_from_matrix(np.outer(v, v), f.n))
+                )
+    return pieces
+
+
+def ref_pieces(x):
+    """`ref_factor_pieces` in the shape of `spectral._pieces`."""
+    slices = x.algebra.slices
+    return [(lam, slices[fi], block) for lam, fi, block in ref_factor_pieces(x)]
+
+
+def ref_atomic_refinement(d):
+    """Per-factor split of a frame, with its own thresholds and eigh."""
+    algebra = d.algebra
+    out = []
+    for lam, p in zip(d.eigenvalues, d.idempotents):
+        for f, sl in zip(algebra.factors, algebra.slices):
+            b = p.coords[sl]
+            if f.kind == "real":
+                if b[0] > 0.5:
+                    out.append((float(lam), padded(algebra, sl, np.array([1.0]))))
+            elif f.kind == "spin":
+                s = b[0]
+                if s >= 0.75:
+                    w = np.zeros(f.n)
+                    w[0] = 1.0
+                    for sign in (1.0, -1.0):
+                        block = np.concatenate(([0.5], 0.5 * sign * w))
+                        out.append((float(lam), padded(algebra, sl, block)))
+                elif s > 0.25:
+                    out.append((float(lam), padded(algebra, sl, b)))
+            else:
+                m = sym_to_matrix(b, f.n)
+                if np.abs(m).max() < 0.25:
+                    continue
+                lams, vecs = np.linalg.eigh(m)
+                for k in range(f.n):
+                    if lams[k] > 0.5:
+                        v = vecs[:, k]
+                        block = sym_from_matrix(np.outer(v, v), f.n)
+                        out.append((float(lam), padded(algebra, sl, block)))
+    return out
+
+
+def padded(algebra, sl, block):
+    c = np.zeros(algebra.total_dim)
+    c[sl] = block
+    return jc.Element(algebra, c)
+
+
+def rank(algebra):
+    return sum({"real": 1, "spin": 2}.get(f.kind, f.n) for f in algebra.factors)
+
+
+REFERENCE_ALGEBRAS = SPECTRA_ALGEBRAS + [
+    jc.direct_sum(*[jc.sym(2)] * 6, jc.real(), jc.real()),  # the grid shape
+    jc.direct_sum(jc.real(), jc.sym(3), jc.sym(3)),
+]
+
+
+def reference_rows(algebra, seed):
+    """Random rows at many scales, nearly degenerate and spin u = 0 rows,
+    and rows holding NaN or +-inf."""
+    rng = np.random.default_rng(seed)
+    d = algebra.total_dim
+    e = algebra.unit_coords
+    rows = [
+        np.zeros(d),
+        e,
+        -3.0 * e + 1e-13 * rng.standard_normal(d),
+        5.0 * e + 1e-7 * rng.standard_normal(d),
+    ]
+    rows += [rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for _ in range(24)]
+    rows += [rng.standard_normal(d) * np.exp(rng.choice([-20.0, 20.0])) for _ in range(4)]
+    for _ in range(2):
+        row = rng.standard_normal(d)
+        for f, sl in zip(algebra.factors, algebra.slices):
+            if f.kind == "spin":
+                row[sl.start + 1:sl.stop] = 0.0
+        rows.append(row)
+    finite = len(rows)
+    for v in (np.nan, np.inf, -np.inf):
+        row = rng.standard_normal(d)
+        row[rng.integers(d)] = v
+        rows.append(row)
+        rows.append(np.full(d, v))
+    return rows, finite
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def outcome(f):
+    """The result of f(), or the type and text of the ValueError it raises."""
+    try:
+        return f()
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestAgainstReferences:
+    """The grouped kernel against the per-factor routes, byte for byte."""
+
+    @pytest.mark.parametrize("algebra", REFERENCE_ALGEBRAS, ids=str)
+    def test_eigenvalues(self, algebra):
+        rows, _ = reference_rows(algebra, 21)
+        for row in rows:
+            x = elem(algebra, row)
+            want = ref_spectrum(x)
+            assert same_bytes(jc.spectrum(x), want), row
+            assert same_bytes(jc.spectra(algebra, x.coords[None])[0], want), row
+            got = spectral._lowest(x)
+            assert got == want.min() or (np.isnan(got) and np.isnan(want.min())), row
+
+    def test_signed_zeros_follow_the_group_order(self):
+        # -0.0 and 0.0 compare equal, so the sort keeps them in input order:
+        # factor order in the per-factor route, group order in the kernel
+        # (the same order `spectra` has always used)
+        algebra = jc.direct_sum(jc.spin(3), jc.real())
+        x = elem(algebra, [-0.0] * 5)
+        assert same_bytes(jc.spectrum(x), [-0.0, 0.0, -0.0])
+        assert same_bytes(ref_spectrum(x), [0.0, -0.0, -0.0])
+        assert same_bytes(jc.spectrum(x), jc.spectra(algebra, x.coords[None])[0])
+
+    @pytest.mark.parametrize("algebra", REFERENCE_ALGEBRAS, ids=str)
+    def test_decomposition_and_calculus(self, algebra, monkeypatch):
+        rows, _ = reference_rows(algebra, 22)
+        routes = {
+            "decomposition": lambda x: jc.spectral_decomposition(x),
+            "sqrt": jc.sqrt,
+            "inv": jc.inv,
+            "square": lambda x: jc.power(x, 2),
+            "root": lambda x: jc.power(x, 0.5),
+        }
+
+        def as_bytes(value):
+            if isinstance(value, tuple):
+                return value
+            if isinstance(value, jc.SpectralDecomposition):
+                return [value.eigenvalues.tobytes()] + [
+                    p.coords.tobytes() for p in value.idempotents
+                ]
+            return value.coords.tobytes()
+
+        xs = [elem(algebra, row) for row in rows]
+        xs += [jc.jordan_product(x, x) for x in xs]  # in the cone: sqrt and root apply
+        got = {k: [as_bytes(outcome(lambda: f(x))) for x in xs] for k, f in routes.items()}
+        monkeypatch.setattr(spectral, "_pieces", ref_pieces)
+        for k, f in routes.items():
+            assert got[k] == [as_bytes(outcome(lambda: f(x))) for x in xs], k
+
+    @pytest.mark.parametrize("algebra", REFERENCE_ALGEBRAS, ids=str)
+    def test_atomic_refinement(self, algebra):
+        rows, finite = reference_rows(algebra, 23)
+        spread = any(f.kind == "sym" and f.n >= 5 for f in algebra.factors)
+        spin_u = np.zeros(algebra.total_dim, dtype=bool)
+        for f, sl in zip(algebra.factors, algebra.slices):
+            if f.kind == "spin":
+                spin_u[sl.start + 1:sl.stop] = True
+        for i, row in enumerate(rows):
+            d = jc.spectral_decomposition(elem(algebra, row))
+            if i >= finite:
+                with pytest.raises(ValueError, match="outside domain of atomic_refinement"):
+                    jc.atomic_refinement(d)
+                continue
+            got, want = jc.atomic_refinement(d), ref_atomic_refinement(d)
+            assert len(got) == rank(algebra)
+            if len(want) < len(got):
+                # the reference skips sym blocks with every entry below 1/4,
+                # which drops spread-out rank-one atoms of sym(n >= 5)
+                assert spread
+                continue
+            for (lam, a), (mu, b) in zip(got, want):
+                assert same_bytes(lam, mu)
+                assert same_bytes(a.coords[~spin_u], b.coords[~spin_u])
+                # a spin half-atom (1/2, u) comes back as (1/2, u / (2|u|))
+                assert np.abs(a.coords - b.coords).max() <= 4e-16
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [
+            jc.direct_sum(jc.real(), jc.sym(3)),
+            jc.direct_sum(jc.real(), jc.sym(2)),
+            jc.direct_sum(jc.spin(3)),
+        ],
+        ids=str,
+    )
+    def test_non_finite_frame_is_refused(self, algebra):
+        # the per-factor route raised LinAlgError, dropped the sym block, or
+        # returned atoms under a NaN eigenvalue on these
+        d = jc.spectral_decomposition(elem(algebra, [np.nan] * algebra.total_dim))
+        with pytest.raises(ValueError, match="eigenvalue nan outside domain of atomic_refinement"):
+            jc.atomic_refinement(d)
+
+    def test_spread_rank_one_atom_is_kept(self):
+        # v v^T with v = (1, ..., 1) / sqrt(5) has every entry 1/5
+        algebra = jc.direct_sum(jc.sym(5))
+        v = np.ones(5) / np.sqrt(5.0)
+        x = elem(algebra, sym_from_matrix(3.0 * np.outer(v, v), 5))
+        pairs = jc.atomic_refinement(jc.spectral_decomposition(x))
+        assert len(pairs) == 5
+        np.testing.assert_allclose(
+            sum(a.coords for _, a in pairs), algebra.unit_coords, atol=1e-12
+        )
+        assert all(jc.is_atom(a) for _, a in pairs)
+
+    def test_one_eigh_per_sym_size(self, monkeypatch):
+        algebra = jc.direct_sum(jc.real(), *[jc.sym(2)] * 3, *[jc.sym(3)] * 2)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        jc.spectral_decomposition(jc.random_element(algebra, 0))
+        assert calls == [(3, 2, 2), (2, 3, 3)]
