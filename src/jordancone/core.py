@@ -244,8 +244,12 @@ class Element:
 
 
 def _fresh_element(algebra: AlgebraDescriptor, coords: np.ndarray) -> Element:
-    """An `Element` over a fresh float array of length ``algebra.total_dim``
-    that nothing else holds, made read-only in place instead of copied."""
+    """An `Element` over a float array of length ``algebra.total_dim``, made
+    read-only in place instead of copied.
+
+    The array is fresh and nothing else holds it, or it is a read-only view
+    (a row, say) of an array that nothing else writes.
+    """
     coords.setflags(write=False)
     x = object.__new__(Element)
     object.__setattr__(x, "algebra", algebra)

@@ -19,6 +19,7 @@ see the `verify` module.
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 from dataclasses import InitVar, dataclass, field
@@ -64,13 +65,15 @@ HOM_PAIR_CHUNK = 4096  # basis pairs per product-kernel call in is_jordan_homomo
 
 @dataclass(frozen=True)
 class Power:
-    """t -> t**alpha with alpha > 0."""
+    """t -> t**alpha with finite alpha > 0."""
 
     alpha: float
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError("power bijection requires alpha > 0")
+        if not math.isfinite(self.alpha):
+            raise ValueError("power bijection requires a finite alpha")
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -99,8 +102,8 @@ class Power:
 class PiecewiseLinear:
     """A strictly increasing piecewise-linear bijection with f(0) = 0.
 
-    ``breakpoints`` is a tuple of (t, f(t)) pairs starting at (0, 0) with
-    strictly increasing t and values; past the last pair the final slope
+    ``breakpoints`` is a tuple of finite (t, f(t)) pairs starting at (0, 0)
+    with strictly increasing t and values; past the last pair the final slope
     continues to infinity.
     """
 
@@ -111,6 +114,8 @@ class PiecewiseLinear:
         object.__setattr__(self, "breakpoints", bp)
         if len(bp) < 2 or bp[0] != (0.0, 0.0):
             raise ValueError("breakpoints must start at (0, 0) and have >= 2 knots")
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in bp):
+            raise ValueError("breakpoints must be finite")
         ts = np.array([t for t, _ in bp])
         vs = np.array([v for _, v in bp])
         if np.any(np.diff(ts) <= 0) or np.any(np.diff(vs) <= 0):
@@ -360,7 +365,7 @@ def apply_order_iso(form: OrderIsoForm, x: Element) -> Element:
     batching: one scalar call per disengaged slot and one matrix-vector
     product for the engaged part.
     """
-    if x.algebra != form.domain:
+    if x.algebra is not form.domain and x.algebra != form.domain:
         raise ValueError("algebra mismatch")
     if not is_positive(x):
         raise ValueError("element not in cone")

@@ -17,8 +17,11 @@ dimension: n for sym(n), two for a spin factor, one for real), while a
 
 Eigenvalues (`_group_eigenvalues`) and rank-one pieces (`_pieces`) are
 read off ``algebra.product_groups``, one kind and size at a time; every
-eigen computation here goes through one of the two, and `_eigh` is the
-only call into ``np.linalg``.
+eigen computation here goes through one of the two, or through `_lowest`
+for the cone predicates.  On finite input `_eigh` and `_lowest` call
+LAPACK's symmetric eigensolver gufunc (`_EIGVALSH`, `_EIGH`) directly and
+no ``np.linalg`` routine; only a stack holding NaN or inf goes through
+``np.linalg.eigvalsh``/``eigh``, in `_eigh`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,25 +47,41 @@ POSITIVITY_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-10
 INTERIOR_TOL = 1e-9
 
+# LAPACK's symmetric eigensolver on the lower triangle of each matrix in a
+# stack: the gufuncs np.linalg.eigvalsh and np.linalg.eigh call after their
+# argument checks, errstate and type resolution.  Private numpy API, pinned
+# by the byte tests against the public wrappers.
+_EIGVALSH = _umath_linalg.eigvalsh_lo
+_EIGH = _umath_linalg.eigh_lo
+
 
 def _eigh(m: np.ndarray, vectors: bool = False):
     """``np.linalg.eigvalsh`` (``eigh`` if ``vectors``) of a stack of matrices.
 
-    LAPACK raises on a non-finite matrix of size >= 3 where size 2 yields
-    NaN; here a non-finite matrix gets NaN eigenvalues (and eigenvectors),
-    and the finite ones keep their exact bits.
+    A finite stack goes straight to the LAPACK loop those wrappers run
+    (`_EIGVALSH`, `_EIGH`), without their argument checks and ``errstate``:
+    the same bits, and LinAlgError if LAPACK fails on a matrix.  A stack
+    holding NaN or inf takes the wrappers themselves, whose ``errstate``
+    turns LAPACK's failure into LinAlgError rather than a RuntimeWarning.
+    They fail on a non-finite matrix of size >= 3 (size 2 yields NaN); then
+    each non-finite matrix gets NaN eigenvalues (and eigenvectors), and the
+    finite ones keep their exact bits.
     """
+    if np.isfinite(m).all():
+        out = _EIGH(m) if vectors else _EIGVALSH(m)
+        # NaN is LAPACK's only output on a finite matrix it failed on
+        if np.isnan(out[0] if vectors else out).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return out
     lapack = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
         return lapack(m)
     except np.linalg.LinAlgError:
-        bad = ~np.isfinite(m).all(axis=(-2, -1))
-        if not bad.any():
-            raise
-        good = lapack(m[~bad])
+        good = np.isfinite(m).all(axis=(-2, -1))
+        res = _eigh(m[good], vectors)
         out = np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
-        for part, g in zip(out, good if vectors else [good]):
-            part[~bad] = g
+        for part, g in zip(out, res if vectors else [res]):
+            part[good] = g
         return out if vectors else out[0]
 
 
@@ -126,16 +146,33 @@ def spectra(algebra: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
 def _lowest(x: Element) -> float:
     """The smallest eigenvalue of x; NaN if any eigenvalue is NaN.
 
-    Equal to ``spectrum(x).min()``: the same `_group_eigenvalues` parts,
-    collected as floats, without the sorted array.
+    Equal to ``spectrum(x).min()`` up to the sign of a zero.  A finite x is
+    read as Python floats: scalar slots as they are, s - |u| for each spin
+    row (|u|^2 by the BLAS dot `_spin` takes on a contiguous row; s + |u| is
+    never lower), and the first, lowest, eigenvalue LAPACK returns for each
+    sym matrix, one call per size.  A non-finite x, or values whose sum is
+    not finite, take the `_group_eigenvalues` route.
     """
     c = x.coords
-    vals: list[float] = []
+    # a sum of floats is finite only if every term is; then Python's min
+    # sees a total order and is exact
+    if math.isfinite(sum(c.tolist())):
+        vals: list[float] = []
+        for kind, slots, full in x.algebra.product_groups:
+            if kind == "scalar":
+                vals += c[slots].tolist()
+            elif kind == "spin":
+                b = c[slots]
+                vals += [s - math.sqrt(u.dot(u)) for s, u in zip(b[:, 0].tolist(), b[:, 1:])]
+            else:
+                vals += _EIGVALSH(c[full])[:, 0].tolist()
+        if math.isfinite(sum(vals)):
+            return min(vals)
+    vals = []
     for kind, slots, full in x.algebra.product_groups:
         for part in _group_eigenvalues(kind, c[slots if full is None else full]):
             vals += part.tolist()
-    # the sum is NaN only if some value is NaN (or both infinities occur);
-    # otherwise Python's min sees a total order and is exact
+    # NaN only if some value is NaN (or both infinities occur)
     if math.isnan(sum(vals)):
         return float(np.min(vals))
     return min(vals)

@@ -33,6 +33,7 @@ from typing import Callable
 from .core import (
     AlgebraDescriptor,
     Element,
+    _fresh_element,
     basis_element,
     inner_product,
     jordan_products,
@@ -202,17 +203,20 @@ def _images(
 
     A form maps all rows in one `apply_order_iso_rows` call.  A callable is
     called once per row as an `Element`, trial by trial, and in the order of
-    ``inputs`` within a trial.
+    ``inputs`` within a trial; each `Element` holds a read-only view of its
+    row, as every input array is made read-only here.
     """
     if isinstance(f, OrderIsoForm):
         if f.domain != algebra:
             raise ValueError("algebra mismatch")
         out = apply_order_iso_rows(f, np.concatenate(inputs))
         return f.codomain, np.split(out, len(inputs))
+    for a in inputs:
+        a.setflags(write=False)
     n = inputs[0].shape[0]
-    images = [f(Element(algebra, a[i])) for i in range(n) for a in inputs]
+    images = [f(_fresh_element(algebra, a[i])) for i in range(n) for a in inputs]
     codomain = images[0].algebra if images else algebra
-    if any(y.algebra != codomain for y in images):
+    if any(y.algebra is not codomain and y.algebra != codomain for y in images):
         raise ValueError("algebra mismatch")
     out = np.array([y.coords for y in images]).reshape(n, len(inputs), codomain.total_dim)
     return codomain, [out[:, k] for k in range(len(inputs))]

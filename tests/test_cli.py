@@ -226,6 +226,29 @@ class TestBadInput:
         assert code == 1 and out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "bijection, message",
+        [
+            ({"kind": "power", "alpha": float("inf")}, "requires a finite alpha"),
+            ({"kind": "piecewise_linear", "breakpoints": [[0, 0], [1, float("nan")], [2, 3]]},
+             "breakpoints must be finite"),
+            ({"kind": "piecewise_linear", "breakpoints": [[0, 0], [1, 1], [float("inf")] * 2]},
+             "breakpoints must be finite"),
+        ],
+        ids=["power-inf", "pwl-nan-knot", "pwl-inf-knot"],
+    )
+    def test_non_finite_bijection_exits_1(self, files, tmp_path, capsys, bijection, message):
+        # NaN and inf pass the alpha > 0 and increasing-knot checks; such a
+        # form used to be sampled, exiting 3 with RuntimeWarnings on stderr
+        with open(files["form.json"]) as fh:
+            form = json.load(fh)
+        form["f_p"][0] = bijection
+        p = tmp_path / "inf_form.json"
+        p.write_text(json.dumps(form))
+        code, out, err = run(capsys, ["verify-oiso", "--form", str(p), "--trials", "20"])
+        assert code == 1 and out == ""
+        assert "malformed input" in err and message in err
+
 
 class TestVerifyOiso:
     def test_honest_nonlinear_form_passes(self, files, capsys):
@@ -314,6 +337,12 @@ class TestDemoNonlinear:
         code, _, err = run(capsys, ["demo-nonlinear", "--power", "-1"])
         assert code == 2
         assert "strictly positive" in err
+
+    def test_infinite_power_exits_2(self, files, capsys):
+        # it used to run, with RuntimeWarnings from the inf - inf defects
+        code, out, err = run(capsys, ["demo-nonlinear", "--n-grid", "3", "--power", "inf"])
+        assert code == 2 and out == ""
+        assert err == "error: power bijection requires a finite alpha\n"
 
 
 class TestSelftest:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jordancone as jc
-from jordancone import ordermaps
+from jordancone import ordermaps, spectral
 from jordancone.ordermaps import grid_total_dim
 from jordancone.structure import decompose_engaged_disengaged
 
@@ -38,6 +38,12 @@ class TestPower:
         with pytest.raises(ValueError):
             jc.Power(0.0)
 
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan, -np.inf])
+    def test_requires_finite_exponent(self, alpha):
+        # inf > 0 holds, so positivity alone let Power(inf) through
+        with pytest.raises(ValueError, match="power bijection requires"):
+            jc.Power(alpha)
+
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             jc.Power(2.0)(-1.0)
@@ -53,6 +59,15 @@ class TestPiecewiseLinear:
             jc.PiecewiseLinear(((1.0, 1.0), (2.0, 2.0)))  # must start at origin
         with pytest.raises(ValueError):
             jc.PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 1.0)))  # not increasing
+
+    @pytest.mark.parametrize("knot", [(np.nan, 1.0), (1.0, np.inf), (np.inf, np.inf), (1.0, np.nan)])
+    def test_requires_finite_knots(self, knot):
+        # comparisons with NaN are false and inf - x > 0, so the increasing
+        # check alone let these through
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            jc.PiecewiseLinear(((0.0, 0.0), knot, (5.0, 6.0)))
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            jc.PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), knot))
 
     def test_eval_with_extension(self):
         f = jc.PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)))
@@ -387,8 +402,8 @@ class TestApplyRows:
 
     def test_single_apply_linalg_calls(self, monkeypatch):
         # the single-element path reads its cone check and slot plan off the
-        # descriptor and the form: spin blocks need no np.linalg routine and
-        # each sym(n) size needs one eigvalsh
+        # descriptor and the form: no public np.linalg routine at all, no
+        # LAPACK call for spin blocks and one eigvalsh per sym(n) size
         calls = []
         for name in [n for n in dir(np.linalg) if not n.startswith("_")]:
             fn = getattr(np.linalg, name)
@@ -397,9 +412,14 @@ class TestApplyRows:
                     calls.append(_name)
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(np.linalg, name, counted)
+        for name, core in (("eigvalsh", spectral._EIGVALSH), ("eigh", spectral._EIGH)):
+            def counted_core(m, _core=core, _name=name):
+                calls.append(f"lapack {_name}")
+                return _core(m)
+            monkeypatch.setattr(spectral, f"_{name.upper()}", counted_core)
         spins = jc.direct_sum(jc.real(), jc.real(), jc.spin(2), jc.spin(2))
         mixed = jc.direct_sum(jc.real(), jc.spin(2), jc.sym(3))
-        for algebra, want in ((spins, []), (mixed, ["eigvalsh"])):
+        for algebra, want in ((spins, []), (mixed, ["lapack eigvalsh"])):
             form = jc.random_order_iso(algebra, algebra, seed=16)
             x = jc.random_positive(algebra, 17)
             calls.clear()

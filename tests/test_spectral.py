@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,9 +141,20 @@ class TestSpectra:
         both = e.copy()
         both[0], both[-1] = np.inf, -np.inf
         rows.append(both)
+        # finite rows whose |u|^2, eigenvalues or coordinate sum overflow
+        for v in (1e200, 1e308, -1e308):
+            rows.append(np.full(d, v))
+            rows.append(v * e)
+            row = rng.standard_normal(d)
+            row[-1] = v
+            rows.append(row)
+        alternating = np.where(np.arange(d) % 2 == 0, 1e308, -1e308)
+        rows += [alternating, -alternating]
+        rows += [np.full(d, -0.0), -0.0 * e, 0.0 * e - e + e]
         for row in rows:
             x = elem(algebra, row)
-            with np.errstate(invalid="ignore"):  # inf - inf in a spin block
+            # inf - inf and |u|^2 overflowing in a spin block
+            with np.errstate(invalid="ignore", over="ignore"):
                 want = jc.spectrum(x).min()
                 got = spectral._lowest(x)
                 positive, interior = jc.is_positive(x), is_interior(x)
@@ -266,6 +279,59 @@ class TestFunctionalCalculus:
                     assert spectral._eigh(bad)[k].tobytes() == np.linalg.eigvalsh(m[k]).tobytes()
             if n > 2:  # LAPACK raises there; size 2 gives NaN by itself
                 assert np.isnan(spectral._eigh(bad, vectors=True)[1][1]).all()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lapack_core_bits_equal_the_wrappers(self, n):
+        # on a finite stack _eigh calls the gufunc np.linalg.eigvalsh/eigh
+        # run after their checks: the same bits, one matrix or many, at any
+        # scale
+        rng = np.random.default_rng(40 + n)
+        for count in (1, 50):
+            for scale in (np.exp(-20.0), 1.0, np.exp(20.0)):
+                m = rng.standard_normal((count, n, n)) * scale
+                m = m + m.transpose(0, 2, 1)
+                assert spectral._eigh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+                got, want = spectral._eigh(m, vectors=True), np.linalg.eigh(m)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert spectral._eigh(m[0]).tobytes() == np.linalg.eigvalsh(m[0]).tobytes()
+
+    def test_lapack_failure_on_finite_input_raises(self, monkeypatch):
+        # LAPACK marks a matrix it failed on with NaN output; on finite input
+        # that is LinAlgError, as np.linalg raises, on every route
+        monkeypatch.setattr(spectral, "_EIGVALSH", lambda m: np.full(m.shape[:-1], np.nan))
+        monkeypatch.setattr(
+            spectral, "_EIGH", lambda m: (np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan))
+        )
+        x = jc.random_element(MIXED, 3)
+        mixed_stack = np.stack([np.eye(3), np.full((3, 3), np.nan)])
+        for run in (
+            lambda: spectral._eigh(np.eye(3)[None]),
+            lambda: spectral._eigh(np.eye(3), vectors=True),
+            lambda: spectral._eigh(mixed_stack),
+            lambda: spectral._lowest(x),
+            lambda: jc.spectrum(x),
+            lambda: jc.spectral_decomposition(x),
+        ):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                run()
+
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_sym3_warns_nothing(self, v):
+        # LAPACK never sees these through the bare gufunc, whose failure
+        # would surface as numpy's invalid-value RuntimeWarning
+        algebra = jc.direct_sum(jc.real(), jc.sym(3), jc.sym(3))
+        rng = np.random.default_rng(12)
+        one = rng.standard_normal(algebra.total_dim)
+        one[3] = v
+        for row in (one, np.full(algebra.total_dim, v)):
+            x = elem(algebra, row)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                spectral._lowest(x)
+                jc.spectrum(x)
+                jc.spectra(algebra, np.stack([row, algebra.unit_coords]))
+                jc.spectral_decomposition(x)
 
     def test_custom_phi_domain_error(self):
         phi = lambda t: float(np.log(t)) if t > 0 else float("nan")
@@ -592,12 +658,12 @@ class TestAgainstReferences:
     def test_one_eigh_per_sym_size(self, monkeypatch):
         algebra = jc.direct_sum(jc.real(), *[jc.sym(2)] * 3, *[jc.sym(3)] * 2)
         calls = []
-        eigh = np.linalg.eigh
+        eigh = spectral._EIGH
 
-        def counted(m, *args, **kwargs):
+        def counted(m):
             calls.append(np.shape(m))
-            return eigh(m, *args, **kwargs)
+            return eigh(m)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(spectral, "_EIGH", counted)
         jc.spectral_decomposition(jc.random_element(algebra, 0))
         assert calls == [(3, 2, 2), (2, 3, 3)]

@@ -210,6 +210,14 @@ class TestFormPath:
         jc.check_linearity_blackbox(lambda z: calls.append(1) or z, MIXED_V, trials=7, seed=0)
         assert len(calls) == 7 * 6  # x + z, x, z and three multiples of x
 
+    def test_callable_gets_read_only_row_views(self):
+        # rows reach f uncopied, as views that neither f nor the sampler writes
+        seen = []
+        jc.check_linearity_blackbox(lambda z: seen.append(z) or z, MIXED_V, trials=4, seed=1)
+        assert len(seen) == 4 * 6
+        assert all(z.coords.base is not None and not z.coords.flags.writeable for z in seen)
+        assert len({id(z.coords.base) for z in seen}) == 6  # one array per input
+
     def test_failure_order_is_trial_by_trial(self):
         grid = FORMS["grid"]
         rep = jc.check_linearity_blackbox(grid, grid.domain, trials=30, seed=2)
