@@ -424,8 +424,11 @@ def algebra_to_dict(algebra: AlgebraDescriptor) -> dict:
 def algebra_from_dict(doc: dict) -> AlgebraDescriptor:
     if not isinstance(doc, dict) or "factors" not in doc:
         raise ValueError("algebra document must contain a 'factors' list")
+    entries = doc["factors"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("'factors' must be a list of factor objects")
     factors = []
-    for entry in doc["factors"]:
+    for entry in entries:
         n = entry.get("n", 0)
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"factor size n must be an integer, got {n!r}")
@@ -446,6 +449,8 @@ def element_to_list(x: Element) -> list[float]:
 
 def _finite_array(data, finite: bool) -> np.ndarray:
     values = np.asarray(data, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"expected a flat list of numbers, got shape {values.shape}")
     if finite and not np.isfinite(values).all():
         raise ValueError("non-finite value in input")
     return values
@@ -466,7 +471,9 @@ def operator_from_dict(
     domain: AlgebraDescriptor, codomain: AlgebraDescriptor, doc: dict, *, finite: bool = True
 ) -> LinearOperator:
     """Parse a dense row-major operator; ``finite`` as in `element_from_list`."""
-    r, c = int(doc["rows"]), int(doc["cols"])
+    r, c = doc["rows"], doc["cols"]
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (r, c)):
+        raise ValueError(f"operator rows and cols must be integers, got {r!r} and {c!r}")
     data = _finite_array(doc["data"], finite)
     if data.size != r * c:
         raise ValueError("operator data length does not match rows*cols")

@@ -32,6 +32,7 @@ from .core import (
     LinearOperator,
     _fresh_element,
     direct_sum,
+    identity_operator,
     jordan_product,
     jordan_products,
     op_apply,
@@ -78,7 +79,12 @@ class Power:
     def __call__(self, t: float) -> float:
         if t < 0:
             raise ValueError("monotone bijections act on the half-line t >= 0")
-        return float(t) ** self.alpha
+        try:
+            return float(t) ** self.alpha
+        except OverflowError:
+            raise ValueError(
+                f"power bijection overflows: t**alpha with alpha = {self.alpha!r}, t = {t!r}"
+            ) from None
 
     def inverse(self) -> "Power":
         return Power(1.0 / self.alpha)
@@ -328,34 +334,10 @@ def identity_form(algebra: AlgebraDescriptor) -> OrderIsoForm:
     n = len(dd.disengaged_atoms)
     if dd.has_engaged:
         y = unit(dd.engaged_subalgebra)
-        j = LinearOperator(
-            dd.engaged_subalgebra,
-            dd.engaged_subalgebra,
-            np.eye(dd.engaged_subalgebra.total_dim),
-        )
+        j = identity_operator(dd.engaged_subalgebra)
     else:
         y = j = None
     return OrderIsoForm(algebra, algebra, tuple(range(n)), (Power(1.0),) * n, y, j)
-
-
-def _apply_rows(form: OrderIsoForm, x: np.ndarray) -> np.ndarray:
-    """The classified map on each row of an (N, d) array; no cone check.
-
-    Each bijection runs its own scalar ``__call__`` on every entry of its
-    column (a vectorized power can differ from ``**`` in the last bit).
-    The engaged part is one stacked matrix-vector product: every row goes
-    through the same BLAS call a single ``M @ x`` makes, which a
-    matrix-matrix product does not, so batched and single images agree
-    bitwise.
-    """
-    out = np.zeros((x.shape[0], form.codomain.total_dim))
-    for src, dst, bij in zip(form._src.tolist(), form._dst.tolist(), form.f_p):
-        out[:, dst] = [bij(max(t, 0.0)) for t in x[:, src].tolist()]
-    m = form.engaged_matrix
-    if m is not None:
-        xe = x[:, form._src_engaged]
-        out[:, form._dst_engaged] = np.matmul(m, xe[:, :, None])[:, :, 0]
-    return out
 
 
 def apply_order_iso(form: OrderIsoForm, x: Element) -> Element:
@@ -382,7 +364,11 @@ def apply_order_iso_rows(form: OrderIsoForm, x: np.ndarray) -> np.ndarray:
     """`apply_order_iso` on each row of an (N, d) array of cone elements.
 
     Row i of the result equals ``apply_order_iso`` of row i bitwise.  One
-    batched positivity check covers all rows.
+    batched positivity check covers all rows.  Each bijection runs its own
+    scalar ``__call__`` on every entry of its column (a vectorized power can
+    differ from ``**`` in the last bit).  The engaged part is one stacked
+    matrix-vector product: every row goes through the same BLAS call a
+    single ``M @ x`` makes, which a matrix-matrix product does not.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != form.domain.total_dim:
@@ -392,7 +378,14 @@ def apply_order_iso_rows(form: OrderIsoForm, x: np.ndarray) -> np.ndarray:
         )
     if not (spectra(form.domain, x).min(axis=1) >= -POSITIVITY_TOL).all():
         raise ValueError("element not in cone")
-    return _apply_rows(form, x)
+    out = np.zeros((x.shape[0], form.codomain.total_dim))
+    for src, dst, bij in zip(form._src.tolist(), form._dst.tolist(), form.f_p):
+        out[:, dst] = [bij(max(t, 0.0)) for t in x[:, src].tolist()]
+    m = form.engaged_matrix
+    if m is not None:
+        xe = x[:, form._src_engaged]
+        out[:, form._dst_engaged] = np.matmul(m, xe[:, :, None])[:, :, 0]
+    return out
 
 
 def invert_order_iso(form: OrderIsoForm) -> OrderIsoForm:
@@ -641,11 +634,7 @@ def grid_power_demo(n_grid: int, lam: Callable[[float], float]) -> OrderIsoForm:
     f_p = tuple(Power(a) for a in exponents)
     if dd.has_engaged:
         y = unit(dd.engaged_subalgebra)
-        j = LinearOperator(
-            dd.engaged_subalgebra,
-            dd.engaged_subalgebra,
-            np.eye(dd.engaged_subalgebra.total_dim),
-        )
+        j = identity_operator(dd.engaged_subalgebra)
     else:
         y = j = None
     return OrderIsoForm(algebra, algebra, sigma, f_p, y, j)

@@ -15,13 +15,13 @@ exact up to rounding however close eigenvalues of different factors lie.
 dimension: n for sym(n), two for a spin factor, one for real), while a
 ``SpectralDecomposition`` lists each merged eigenvalue once.
 
-Eigenvalues (`_group_eigenvalues`) and rank-one pieces (`_pieces`) are
-read off ``algebra.product_groups``, one kind and size at a time; every
-eigen computation here goes through one of the two, or through `_lowest`
-for the cone predicates.  On finite input `_eigh` and `_lowest` call
-LAPACK's symmetric eigensolver gufunc (`_EIGVALSH`, `_EIGH`) directly and
-no ``np.linalg`` routine; only a stack holding NaN or inf goes through
-``np.linalg.eigvalsh``/``eigh``, in `_eigh`.
+Eigenvalues (`spectra`) and rank-one pieces (`_pieces`) are read off
+``algebra.product_groups``, one kind and size at a time; `spectrum` is
+`spectra` of one row, and the cone predicates go through `_lowest`, which
+reads a finite element as Python floats.  Every sym block goes through
+`_eigh`, which calls LAPACK's symmetric eigensolver gufunc (`_EIGVALSH`,
+`_EIGH`) directly and no ``np.linalg`` routine; a sym block holding NaN or
+inf has NaN eigenvalues.
 """
 
 from __future__ import annotations
@@ -60,12 +60,9 @@ def _eigh(m: np.ndarray, vectors: bool = False):
 
     A finite stack goes straight to the LAPACK loop those wrappers run
     (`_EIGVALSH`, `_EIGH`), without their argument checks and ``errstate``:
-    the same bits, and LinAlgError if LAPACK fails on a matrix.  A stack
-    holding NaN or inf takes the wrappers themselves, whose ``errstate``
-    turns LAPACK's failure into LinAlgError rather than a RuntimeWarning.
-    They fail on a non-finite matrix of size >= 3 (size 2 yields NaN); then
-    each non-finite matrix gets NaN eigenvalues (and eigenvectors), and the
-    finite ones keep their exact bits.
+    the same bits, and LinAlgError if LAPACK fails on a matrix.  A matrix
+    holding NaN or inf gets NaN eigenvalues (and eigenvectors) without
+    reaching LAPACK; the finite matrices of its stack keep their exact bits.
     """
     if np.isfinite(m).all():
         out = _EIGH(m) if vectors else _EIGVALSH(m)
@@ -73,16 +70,12 @@ def _eigh(m: np.ndarray, vectors: bool = False):
         if np.isnan(out[0] if vectors else out).any():
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return out
-    lapack = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    try:
-        return lapack(m)
-    except np.linalg.LinAlgError:
-        good = np.isfinite(m).all(axis=(-2, -1))
-        res = _eigh(m[good], vectors)
-        out = np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
-        for part, g in zip(out, res if vectors else [res]):
-            part[good] = g
-        return out if vectors else out[0]
+    good = np.isfinite(m).all(axis=(-2, -1))
+    res = _eigh(m[good], vectors)
+    out = np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
+    for part, g in zip(out, res if vectors else [res]):
+        part[good] = g
+    return out if vectors else out[0]
 
 
 def _spin(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,51 +87,34 @@ def _spin(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s + r, s - r, r
 
 
-def _group_eigenvalues(kind: str, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Eigenvalues of one ``product_groups`` entry, as gathered by the caller.
-
-    The caller gathers ``c[slots]`` (``c[full]`` for sym) from one element,
-    or ``x[:, slots]`` from a batch; any leading shape passes through, and
-    each part ends in one axis of eigenvalues: scalar slots as they are,
-    spin rows as s + |u| and s - |u|, sym matrices through `_eigh`.
-    """
-    if kind == "scalar":
-        return (b,)
-    if kind == "spin":
-        return _spin(b)[:2]
-    lam = _eigh(b)  # (..., k, n)
-    return (lam.reshape(lam.shape[:-2] + (lam.shape[-2] * lam.shape[-1],)),)
-
-
 def spectrum(x: Element) -> np.ndarray:
     """Eigenvalues of x, descending, with multiplicity."""
-    c = x.coords
-    out = np.concatenate([
-        part
-        for kind, slots, full in x.algebra.product_groups
-        for part in _group_eigenvalues(kind, c[slots if full is None else full])
-    ])
-    out[::-1].sort()
-    return out
+    return spectra(x.algebra, x.coords[None])[0]
 
 
 def spectra(algebra: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
     """Eigenvalues of every row of an (N, d) coordinate array.
 
     Row i holds the eigenvalues of row i, descending, with multiplicity,
-    from one `_group_eigenvalues` call per entry of
-    ``algebra.product_groups``.  At N = 1 that is ``spectrum`` of the row.
+    gathered per entry of ``algebra.product_groups``: scalar slots as they
+    are, spin rows as s + |u| and s - |u|, sym matrices through `_eigh`
+    (NaN for a block holding NaN or inf).  At N = 1 this is `spectrum`.
     For larger N a spin(n >= 4) row may differ from it in the last bit: the
     gather ``x[:, slots]`` strides the last axis by 8 N bytes, so the
     stacked ``matmul`` takes numpy's strided loop instead of the BLAS dot a
     contiguous row gets.  The single-element cone predicates, which need
     only the smallest eigenvalue, use `_lowest`.
     """
-    out = np.concatenate([
-        part
-        for kind, slots, full in algebra.product_groups
-        for part in _group_eigenvalues(kind, x[:, slots if full is None else full])
-    ], axis=1)
+    parts: list[np.ndarray] = []
+    for kind, slots, full in algebra.product_groups:
+        if kind == "scalar":
+            parts.append(x[:, slots])
+        elif kind == "spin":
+            parts += _spin(x[:, slots])[:2]
+        else:
+            lam = _eigh(x[:, full])  # (N, k, n); N may be 0
+            parts.append(lam.reshape(lam.shape[0], lam.shape[1] * lam.shape[2]))
+    out = np.concatenate(parts, axis=1)
     out[:, ::-1].sort(axis=1)
     return out
 
@@ -151,7 +127,8 @@ def _lowest(x: Element) -> float:
     row (|u|^2 by the BLAS dot `_spin` takes on a contiguous row; s + |u| is
     never lower), and the first, lowest, eigenvalue LAPACK returns for each
     sym matrix, one call per size.  A non-finite x, or values whose sum is
-    not finite, take the `_group_eigenvalues` route.
+    not finite, take ``spectrum(x).min()``, which is NaN if any eigenvalue
+    is NaN.
     """
     c = x.coords
     # a sum of floats is finite only if every term is; then Python's min
@@ -168,14 +145,7 @@ def _lowest(x: Element) -> float:
                 vals += _EIGVALSH(c[full])[:, 0].tolist()
         if math.isfinite(sum(vals)):
             return min(vals)
-    vals = []
-    for kind, slots, full in x.algebra.product_groups:
-        for part in _group_eigenvalues(kind, c[slots if full is None else full]):
-            vals += part.tolist()
-    # NaN only if some value is NaN (or both infinities occur)
-    if math.isnan(sum(vals)):
-        return float(np.min(vals))
-    return min(vals)
+    return float(spectrum(x).min())
 
 
 def is_positive(x: Element, tol: float = POSITIVITY_TOL) -> bool:
@@ -224,15 +194,11 @@ def _pieces(x: Element) -> list[tuple[float, slice, np.ndarray | float]]:
             factors = [[(lam, 1.0)] for lam in b.tolist()]
         elif kind == "spin":
             hi, lo, r = _spin(b)
-            zero = r == 0.0
-            w = b[:, 1:] / (r + zero)[:, None]
-            if zero.any():  # degenerate direction: first basis vector
-                w[zero] = 0.0
-                w[zero, 0] = 1.0
-            halves = np.empty((2,) + b.shape)
-            halves[..., 0] = 0.5
-            halves[..., 1:] = np.multiply.outer((0.5, -0.5), w)
-            factors = [[(a, p), (z, m)] for a, z, p, m in zip(hi.tolist(), lo.tolist(), *halves)]
+            factors = []
+            for a, z, norm, u in zip(hi.tolist(), lo.tolist(), r.tolist(), b[:, 1:]):
+                w = u / norm if norm else np.eye(1, u.size)[0]  # u = 0: first basis vector
+                factors.append([(a, np.concatenate(([0.5], 0.5 * w))),
+                                (z, np.concatenate(([0.5], -0.5 * w)))])
         else:
             lams, vecs = _eigh(b, vectors=True)  # (k, n), (k, n, n)
             iu, ju = _triu_indices(b.shape[-1])

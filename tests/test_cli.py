@@ -175,6 +175,38 @@ class TestBadInput:
         assert "spin factor requires n >= 2" in err
 
 
+    @pytest.mark.parametrize("factors", [["real"], [5], "real"], ids=str)
+    def test_factor_entries_must_be_objects(self, files, tmp_path, capsys, factors):
+        # through --algebra and through a form's domain
+        alg = tmp_path / "bad_alg.json"
+        alg.write_text(json.dumps({"factors": factors}))
+        with open(files["form.json"]) as fh:
+            form = json.load(fh)
+        form["domain"] = {"factors": factors}
+        bad_form = tmp_path / "bad_form.json"
+        bad_form.write_text(json.dumps(form))
+        for argv in (["analyze", "--algebra", str(alg)], ["verify-oiso", "--form", str(bad_form)]):
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == ""
+            assert "malformed input" in err and "list of factor objects" in err
+
+    def test_nested_element_exits_1(self, tmp_path, capsys):
+        # four numbers in a 2 x 2 list are not the coordinates of real + sym(2)
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps({"factors": [{"kind": "real"}, {"kind": "sym", "n": 2}]}))
+        elt = tmp_path / "elt.json"
+        elt.write_text(json.dumps([[1.0, 2.0], [3.0, 4.0]]))
+        code, out, err = run(capsys, ["spectrum", "--algebra", str(alg), "--element", str(elt)])
+        assert code == 1 and out == ""
+        assert "malformed input" in err and "flat list of numbers" in err
+
+    def test_fractional_operator_rows_exit_1(self, files, tmp_path, capsys):
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps({"rows": 8.5, "cols": 8, "data": np.eye(8).ravel().tolist()}))
+        code, out, err = run(capsys, ["factorize", "--algebra", files["alg.json"], "--map", str(p)])
+        assert code == 1 and out == ""
+        assert "malformed input" in err and "rows and cols must be integers" in err
+
     def test_non_integer_factor_size_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad_alg.json"
         p.write_text(json.dumps({"factors": [{"kind": "sym", "n": 2.7}]}))
@@ -343,6 +375,12 @@ class TestDemoNonlinear:
         code, out, err = run(capsys, ["demo-nonlinear", "--n-grid", "3", "--power", "inf"])
         assert code == 2 and out == ""
         assert err == "error: power bijection requires a finite alpha\n"
+
+    def test_overflowing_power_exits_2(self, capsys):
+        argv = ["demo-nonlinear", "--power", "200", "--n-grid", "4", "--trials", "50"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: power bijection overflows") and "alpha = 200.0" in err
 
 
 class TestSelftest:

@@ -268,3 +268,30 @@ class TestSerialization:
             algebra_from_dict({"factor": []})
         with pytest.raises(ValueError):
             operator_from_dict(S2, S2, {"rows": 3, "cols": 3, "data": [1.0]})
+
+    @pytest.mark.parametrize("factors", [["real"], [5], "real", {"kind": "real"}], ids=str)
+    def test_factors_must_be_a_list_of_objects(self, factors):
+        from jordancone.core import algebra_from_dict
+
+        with pytest.raises(ValueError, match="list of factor objects"):
+            algebra_from_dict({"factors": factors})
+
+    def test_coordinates_must_be_flat(self):
+        from jordancone.core import element_from_list, operator_from_dict
+
+        with pytest.raises(ValueError, match=r"flat list of numbers, got shape \(2, 2\)"):
+            element_from_list(jc.direct_sum(jc.real(), jc.sym(2)), [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            element_from_list(jc.direct_sum(jc.real()), 1.0)
+        with pytest.raises(ValueError, match="flat list of numbers"):
+            operator_from_dict(S2, S2, {"rows": 3, "cols": 3, "data": np.eye(3).tolist()})
+
+    @pytest.mark.parametrize("rows", [3.0, 3.5, True, "3", None], ids=repr)
+    def test_operator_shape_must_be_integers(self, rows):
+        from jordancone.core import operator_from_dict
+
+        doc = {"rows": rows, "cols": 3, "data": np.eye(3).ravel().tolist()}
+        with pytest.raises(ValueError, match="rows and cols must be integers"):
+            operator_from_dict(S2, S2, doc)
+        with pytest.raises(ValueError, match="rows and cols must be integers"):
+            operator_from_dict(S2, S2, {**doc, "rows": 3, "cols": rows})

@@ -48,6 +48,17 @@ class TestPower:
         with pytest.raises(ValueError):
             jc.Power(2.0)(-1.0)
 
+    def test_overflow_is_a_value_error(self):
+        # 40.0 ** 200 is out of float range: Python raises OverflowError
+        with pytest.raises(ValueError, match=r"alpha = 200\.0, t = 40\.0"):
+            jc.Power(200.0)(40.0)
+        form = jc.OrderIsoForm(RR, RR, (0, 1), (jc.Power(200.0),) * 2, None, None)
+        with pytest.raises(ValueError, match="power bijection overflows"):
+            jc.apply_order_iso(form, elem(RR, [40.0, 1.0]))
+        with pytest.raises(ValueError, match="power bijection overflows"):
+            jc.apply_order_iso_rows(form, np.array([[1.0, 1.0], [1.0, 40.0]]))
+        assert jc.Power(200.0)(1.0) == 1.0
+
     def test_scaling_detection(self):
         assert jc.Power(1.0).is_scaling()
         assert not jc.Power(2.0).is_scaling()

@@ -103,7 +103,7 @@ class TestSpectra:
         assert jc.spectra(MIXED, np.empty((0, MIXED.total_dim))).shape == (0, 6)
 
     def test_non_finite_blocks_give_nan(self):
-        # LAPACK raises on a non-finite sym(n >= 3) matrix; that block gets NaN
+        # a sym block holding NaN or inf gets NaN eigenvalues
         algebra = jc.direct_sum(jc.real(), jc.sym(3), jc.sym(3), jc.spin(2))
         rng = np.random.default_rng(9)
         x = rng.standard_normal((30, algebra.total_dim))
@@ -117,6 +117,21 @@ class TestSpectra:
             assert np.isnan(got[i]).sum() == 3
             np.testing.assert_array_equal(got[i], jc.spectrum(elem(algebra, x[i])))
         assert np.isnan(got[20]).all()
+
+    @pytest.mark.parametrize(
+        "row", [[1.0, 0.0, np.nan], [0.0, 1.0, np.nan], [1.0, np.inf, 0.0]], ids=str
+    )
+    def test_non_finite_sym2_block_is_nan_on_every_route(self, row):
+        # LAPACK returns finite eigenvalues for some 2 x 2 matrices holding
+        # NaN or inf ([[1, 0], [0, nan]] gives 0 and -0); none may reach it
+        x = elem(S2, row)
+        assert np.isnan(jc.spectrum(x)).all()
+        assert np.isnan(jc.spectra(S2, np.array([row, S2.unit_coords]))[0]).all()
+        assert not jc.is_positive(x)
+        assert not is_interior(x)
+        with pytest.raises(ValueError, match="element not in cone"):
+            jc.apply_order_iso(jc.identity_form(S2), x)
+        assert np.isnan(jc.spectral_decomposition(x).eigenvalues).all()
 
     @pytest.mark.parametrize("algebra", SPECTRA_ALGEBRAS, ids=str)
     def test_lowest_equals_spectrum_min(self, algebra):
@@ -246,7 +261,7 @@ class TestFunctionalCalculus:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_non_finite_sym_block_gives_nan_pieces(self, n):
-        # LAPACK raises on an all-NaN sym(n >= 3) matrix and yields NaN for n = 2
+        # an all-NaN sym block has NaN eigenvalues and NaN pieces
         algebra = jc.direct_sum(jc.real(), jc.sym(n))
         x = elem(algebra, [np.nan] * algebra.total_dim)
         d = jc.spectral_decomposition(x)
@@ -257,9 +272,9 @@ class TestFunctionalCalculus:
             jc.functional_calculus(x, lambda t: t, "id")
 
     def test_finite_sym_blocks_keep_their_pieces(self):
-        # the guarded wrapper, on one matrix or on a stack holding a
-        # non-finite one, gives each finite matrix the bits of its own
-        # np.linalg.eigh (np.linalg.eigvalsh without vectors)
+        # on one matrix or on a stack holding a non-finite one, each finite
+        # matrix gets the bits of its own np.linalg.eigh (np.linalg.eigvalsh
+        # without vectors), and the non-finite one NaN
         rng = np.random.default_rng(11)
         for n in (2, 3, 5):
             m = rng.standard_normal((3, n, n))
@@ -277,8 +292,9 @@ class TestFunctionalCalculus:
                     assert got[0].tobytes() == want[0].tobytes()
                     assert got[1].tobytes() == want[1].tobytes()
                     assert spectral._eigh(bad)[k].tobytes() == np.linalg.eigvalsh(m[k]).tobytes()
-            if n > 2:  # LAPACK raises there; size 2 gives NaN by itself
-                assert np.isnan(spectral._eigh(bad, vectors=True)[1][1]).all()
+            lams, vecs = spectral._eigh(bad, vectors=True)
+            assert np.isnan(lams[1]).all() and np.isnan(vecs[1]).all()
+            assert np.isnan(spectral._eigh(bad)[1]).all()
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_lapack_core_bits_equal_the_wrappers(self, n):
@@ -411,7 +427,7 @@ def ref_spectrum(x):
     vals = []
     for f, sl in zip(x.algebra.factors, x.algebra.slices):
         b = x.coords[sl]
-        if f.kind == "real":
+        if f.dim == 1:  # real or sym(1): one scalar slot, as the library reads it
             vals.append(b)
         elif f.kind == "spin":
             s, r = b[0], float(np.linalg.norm(b[1:]))
@@ -428,7 +444,7 @@ def ref_factor_pieces(x):
     pieces = []
     for fi, (f, sl) in enumerate(zip(x.algebra.factors, x.algebra.slices)):
         b = x.coords[sl]
-        if f.kind == "real":
+        if f.dim == 1:  # real or sym(1): one scalar slot, as the library reads it
             pieces.append((float(b[0]), fi, np.array([1.0])))
         elif f.kind == "spin":
             s, u = b[0], b[1:]

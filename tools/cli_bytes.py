@@ -13,8 +13,10 @@ algebras; spectrum on spin(4), spin(7), repeated sym(2)/sym(3) sums and
 degenerate, negative and nearly degenerate elements; factorize on valid
 ``U_y J`` maps and on negative, singular, non-Jordan and non-positive ones;
 verify-oiso on grid power demos, random classified forms, a tampered ``J``
-and all-NaN ``y`` forms across seeds and trial counts; demo-nonlinear;
-malformed inputs of every kind (exit 1); and ``selftest --format
+and all-NaN ``y`` forms across seeds and trial counts; demo-nonlinear, with
+an overflowing power (exit 2); malformed inputs of every kind (exit 1),
+among them factor entries that are not objects, nested coordinate lists
+and non-integer operator shapes; and ``selftest --format
 structured`` (about 10 s).  Input files are written to a temporary
 directory and named by relative paths, so error messages do not depend on
 where it lies.
@@ -215,6 +217,22 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("bad:usage:bad-format", ["analyze", "--algebra", s3, "--format", "xml"]))
 
     out.append(("selftest:structured", ["selftest", "--format", "structured"]))
+
+    # later cases go last, so every earlier line keeps its place in the output
+    add("demo-nonlinear:power-overflow",  # t**200 overflows: exit 2
+        ["demo-nonlinear", "--power", "200", "--n-grid", "4", "--trials", "50"])
+    grid8 = json.loads(Path("form_grid8.json").read_text())
+    for name, factors in (("entry_str", ["real"]), ("entry_int", [5]), ("str", "real")):
+        path = _write(f"bad_alg_factors_{name}.json", {"factors": factors})
+        add(f"bad:analyze:factors_{name}", ["analyze", "--algebra", path])
+        path = _write(f"bad_form_factors_{name}.json", {**grid8, "domain": {"factors": factors}})
+        add(f"bad:verify-oiso:factors_{name}", ["verify-oiso", "--form", path])
+    path = _write("bad_elt_nested.json", [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    add("bad:spectrum:nested", ["spectrum", "--algebra", s3, "--element", path])
+    eye8 = [float(v) for v in np.eye(8).ravel()]
+    for name, rows in (("rows_float", 8.0), ("rows_fraction", 8.5), ("rows_bool", True)):
+        path = _write(f"bad_map_{name}.json", {"rows": rows, "cols": 8, "data": eye8})
+        add(f"bad:factorize:{name}", ["factorize", "--algebra", s3, "--map", path])
     return out
 
 
