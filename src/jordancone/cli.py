@@ -58,7 +58,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    # ValueError covers JSONDecodeError, text that is not UTF-8 and integers
+    # past Python's digit limit
+    except (OSError, ValueError) as err:
         raise _BadInput(f"{path}: {err}") from err
 
 

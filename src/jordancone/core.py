@@ -27,7 +27,8 @@ import numpy as np
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-RCOND_SINGULAR = 1e-12
+from .tolerances import RCOND_SINGULAR
+
 # Largest total_dim accepted from input files and the CLI (exit code 1
 # above it).  `factorize` peaks at about 129 MB RSS at d = 256 (its Jordan
 # homomorphism test takes the basis pairs 4096 at a time); the other verbs
@@ -357,11 +358,20 @@ def op_compose(s: LinearOperator, t: LinearOperator) -> LinearOperator:
     return LinearOperator(t.domain, s.codomain, s.matrix @ t.matrix)
 
 
+def _invertible_norm(m: np.ndarray) -> float | None:
+    """|m|_2, the largest singular value of the square matrix m, or None
+    when m is singular: zero, or sigma_min / sigma_max below
+    ``RCOND_SINGULAR``."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_SINGULAR:
+        return None
+    return float(sv[0])
+
+
 def op_invert(op: LinearOperator) -> LinearOperator:
     if op.matrix.shape[0] != op.matrix.shape[1]:
         raise ValueError("singular operator: matrix is not square")
-    sv = np.linalg.svd(op.matrix, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_SINGULAR:
+    if _invertible_norm(op.matrix) is None:
         raise ValueError("singular operator")
     return LinearOperator(op.codomain, op.domain, np.linalg.inv(op.matrix))
 
@@ -447,10 +457,30 @@ def element_to_list(x: Element) -> list[float]:
     return [float(c) for c in x.coords]
 
 
+def _number(value) -> float:
+    """A JSON number (an int or a float, not a bool) as a float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+
+
 def _finite_array(data, finite: bool) -> np.ndarray:
-    values = np.asarray(data, dtype=float)
+    """A flat list of JSON numbers as a float array; NaN and inf are refused
+    when ``finite``."""
+    try:
+        values = np.asarray(data, dtype=float)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
     if values.ndim != 1:
         raise ValueError(f"expected a flat list of numbers, got shape {values.shape}")
+    # np.asarray reads "1.5" and true as numbers
+    others = set(map(type, data)) - {int, float}
+    if others:
+        names = ", ".join(sorted(t.__name__ for t in others))
+        raise ValueError(f"expected a flat list of numbers, got {names} values")
     if finite and not np.isfinite(values).all():
         raise ValueError("non-finite value in input")
     return values

@@ -26,14 +26,14 @@ from dataclasses import InitVar, dataclass, field
 from typing import Callable, Union
 
 from .core import (
-    RCOND_SINGULAR,
     AlgebraDescriptor,
     Element,
     LinearOperator,
     _fresh_element,
+    _invertible_norm,
+    _number,
     direct_sum,
     identity_operator,
-    jordan_product,
     jordan_products,
     op_apply,
     op_compose,
@@ -48,7 +48,6 @@ from .core import (
     unit,
 )
 from .spectral import (
-    POSITIVITY_TOL,
     inv,
     is_interior,
     is_positive,
@@ -56,8 +55,8 @@ from .spectral import (
     sqrt,
 )
 from .structure import Decomposition, decompose_engaged_disengaged
+from .tolerances import JORDAN_HOM_TOL, POSITIVITY_TOL, SCALING_RTOL
 
-JORDAN_HOM_TOL = 1e-9
 HOM_PAIR_CHUNK = 4096  # basis pairs per product-kernel call in is_jordan_homomorphism
 
 
@@ -162,7 +161,7 @@ class PiecewiseLinear:
 
     def is_scaling(self) -> bool:
         s = self._slopes()
-        return bool(np.allclose(s, s[0], rtol=1e-12, atol=0.0))
+        return bool(np.allclose(s, s[0], rtol=SCALING_RTOL, atol=0.0))
 
 
 MonotoneBijection = Union[Power, PiecewiseLinear]
@@ -171,23 +170,22 @@ MonotoneBijection = Union[Power, PiecewiseLinear]
 # ---------------------------------------------------------------------------
 # Jordan homomorphism tests and the U_y J factorization
 
-def is_jordan_homomorphism(
-    op: LinearOperator, tol: float = JORDAN_HOM_TOL, norm: float | None = None
-) -> bool:
+def is_jordan_homomorphism(op: LinearOperator, norm: float | None = None) -> bool:
     """Unital and multiplicative on all standard basis pairs.
 
     The d(d+1)/2 pairs (e_i, e_j), i <= j, go through the product kernel
     ``HOM_PAIR_CHUNK`` pairs at a time, so the work arrays stay
-    O(chunk * d); the largest defect |T(e_i o e_j) - T e_i o T e_j| must
-    stay within tol * (1 + |T|_2^2), and the check stops at the first
-    chunk that exceeds it.  ``norm`` is |T|_2 when the caller has it.
+    O(chunk * d); |T e - e| must stay within ``JORDAN_HOM_TOL`` and the
+    largest defect |T(e_i o e_j) - T e_i o T e_j| within
+    JORDAN_HOM_TOL * (1 + |T|_2^2), and the check stops at the first chunk
+    that exceeds it.  ``norm`` is |T|_2 when the caller has it.
     """
     e_dom, e_cod = unit(op.domain), unit(op.codomain)
-    if np.abs(op_apply(op, e_dom).coords - e_cod.coords).max() > tol:
+    if np.abs(op_apply(op, e_dom).coords - e_cod.coords).max() > JORDAN_HOM_TOL:
         return False
     if norm is None:
         norm = float(np.linalg.norm(op.matrix, 2))
-    scale = tol * (1.0 + norm**2)
+    scale = JORDAN_HOM_TOL * (1.0 + norm**2)
     eye = np.eye(op.domain.total_dim)
     i, j = np.triu_indices(op.domain.total_dim)
     images = op.matrix.T  # row k is T e_k
@@ -200,15 +198,13 @@ def is_jordan_homomorphism(
     return True
 
 
-def is_jordan_isomorphism(op: LinearOperator, tol: float = JORDAN_HOM_TOL) -> bool:
+def is_jordan_isomorphism(op: LinearOperator) -> bool:
     m = op.matrix
     if m.shape[0] != m.shape[1]:
         return False
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_SINGULAR:
-        return False
     # |T|_2 is the largest singular value, as np.linalg.norm(m, 2) computes it
-    return is_jordan_homomorphism(op, tol, norm=float(sv[0]))
+    norm = _invertible_norm(m)
+    return norm is not None and is_jordan_homomorphism(op, norm=norm)
 
 
 def factorize_linear_order_iso(op: LinearOperator) -> tuple[Element, LinearOperator]:
@@ -448,34 +444,6 @@ def linear_operator_of_form(form: OrderIsoForm) -> LinearOperator:
     return LinearOperator(form.domain, form.codomain, m)
 
 
-def affinity_on_translated_cone(
-    form: OrderIsoForm, x: Element, trials: int = 100, seed: int = 0
-) -> tuple[LinearOperator, Element]:
-    """The affine representation of the form on the cone translated by x.
-
-    Requires a domain without disengaged atoms, where order isomorphisms
-    of upper sets are affine: returns (S, b) with S linear such that
-    f(x + y) = S(x + y) + b for y >= 0, verified on random samples.
-    """
-    if form.domain_decomposition.disengaged_atoms:
-        raise ValueError("domain has disengaged atoms")
-    if not is_positive(x):
-        raise ValueError("element not in cone")
-    s = linear_operator_of_form(form)
-    b = apply_order_iso(form, x) - op_apply(s, x)
-    rng = as_rng(seed)
-    for _ in range(trials):
-        v = Element(form.domain, rng.standard_normal(form.domain.total_dim))
-        yv = jordan_product(v, v)
-        lhs = apply_order_iso(form, x + yv)
-        rhs = op_apply(s, x + yv) + b
-        if np.abs(lhs.coords - rhs.coords).max() > 1e-8 * (
-            1.0 + np.abs(lhs.coords).max()
-        ):
-            raise AssertionError("affine verification failed on a sample")
-    return s, b
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -651,9 +619,9 @@ def _bijection_to_dict(bij: MonotoneBijection) -> dict:
 
 def _bijection_from_dict(doc: dict) -> MonotoneBijection:
     if doc["kind"] == "power":
-        return Power(float(doc["alpha"]))
+        return Power(_number(doc["alpha"]))
     if doc["kind"] == "piecewise_linear":
-        return PiecewiseLinear(tuple((float(t), float(v)) for t, v in doc["breakpoints"]))
+        return PiecewiseLinear(tuple((_number(t), _number(v)) for t, v in doc["breakpoints"]))
     raise ValueError(f"unknown bijection kind {doc['kind']!r}")
 
 
@@ -675,20 +643,26 @@ def form_from_dict(doc: dict, validate: bool = True) -> OrderIsoForm:
 
     domain = algebra_from_dict(doc["domain"])
     codomain = algebra_from_dict(doc["codomain"])
-    pairs = sorted((int(i), int(j)) for i, j in doc["sigma"])
+    pairs = [(i, j) for i, j in doc["sigma"]]
+    if any(type(k) is not int for pair in pairs for k in pair):
+        raise ValueError(f"sigma entries must be integers, got {doc['sigma']!r}")
+    pairs.sort()
     if [i for i, _ in pairs] != list(range(len(pairs))):
         raise ValueError("sigma pairs must cover the disengaged slots")
     sigma = tuple(j for _, j in pairs)
     f_p = tuple(_bijection_from_dict(b) for b in doc["f_p"])
     dd = decompose_engaged_disengaged(domain)
     cd = decompose_engaged_disengaged(codomain)
-    if doc.get("y") is not None:
+    y_doc, j_doc = doc.get("y"), doc.get("J")
+    if (y_doc is None) != (j_doc is None):
+        raise ValueError("form document must give both 'y' and 'J', or neither")
+    if y_doc is not None:
         if cd.engaged_subalgebra is None or dd.engaged_subalgebra is None:
             raise ValueError("form document carries y/J but the algebras have no engaged part")
         # unvalidated forms may carry non-finite values for sampling to flag
-        y = element_from_list(cd.engaged_subalgebra, doc["y"], finite=validate)
+        y = element_from_list(cd.engaged_subalgebra, y_doc, finite=validate)
         j = operator_from_dict(
-            dd.engaged_subalgebra, cd.engaged_subalgebra, doc["J"], finite=validate
+            dd.engaged_subalgebra, cd.engaged_subalgebra, j_doc, finite=validate
         )
     else:
         y = j = None

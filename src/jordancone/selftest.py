@@ -292,9 +292,7 @@ def criterion_6() -> CriterionResult:
     for s in range(25):
         form = random_order_iso(engaged_only, engaged_only, seed=s)
         ok = ok and check_linearity(form)
-        rep = check_linearity_blackbox(
-            form, engaged_only, trials=100, seed=s, tolerance=1e-8
-        )
+        rep = check_linearity_blackbox(form, engaged_only, trials=100, seed=s)
         worst = max(worst, rep.max_violation)
         ok = ok and rep.passed
 
@@ -305,9 +303,7 @@ def criterion_6() -> CriterionResult:
         unit(dec.engaged_subalgebra),
         identity_operator(dec.engaged_subalgebra),
     )
-    rep = check_order_preserving(
-        squaring, mixed, trials=10_000, seed=6, tolerance=1e-9
-    )
+    rep = check_order_preserving(squaring, mixed, trials=10_000, seed=6)
     ok = ok and rep.passed
     p0 = dec.disengaged_atoms[0]
     x1, x2 = 2.0 * p0, 3.0 * p0
@@ -351,8 +347,8 @@ def criterion_7() -> CriterionResult:
             1.0 + np.abs(spectra(cod, z)).max(axis=1)
         )
         worst = max(worst, float(err.max()))
-        rep_f = check_order_preserving(form, dom, trials=100, seed=k, tolerance=1e-9)
-        rep_b = check_order_preserving(back, cod, trials=100, seed=k, tolerance=1e-9)
+        rep_f = check_order_preserving(form, dom, trials=100, seed=k)
+        rep_b = check_order_preserving(back, cod, trials=100, seed=k)
         ok = ok and rep_f.passed and rep_b.passed
     ok = ok and worst <= 1e-8
     return CriterionResult(
@@ -431,12 +427,8 @@ def criterion_9() -> CriterionResult:
 def criterion_10_demo() -> tuple[bool, str]:
     """The grid power demo is order preserving but not homogeneous."""
     form = grid_power_demo(8, lambda t: 2.0 if t <= 0.5 else 1.0)
-    rep_order = check_order_preserving(
-        form, form.domain, trials=2000, seed=10, tolerance=1e-9
-    )
-    rep_lin = check_linearity_blackbox(
-        form, form.domain, trials=200, seed=10, tolerance=1e-8
-    )
+    rep_order = check_order_preserving(form, form.domain, trials=2000, seed=10)
+    rep_lin = check_linearity_blackbox(form, form.domain, trials=200, seed=10)
     hom = [f for f in rep_lin.failures if f.predicate.startswith("homogeneous")]
     ok = (
         rep_order.passed

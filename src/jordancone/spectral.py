@@ -22,6 +22,9 @@ reads a finite element as Python floats.  Every sym block goes through
 `_eigh`, which calls LAPACK's symmetric eigensolver gufunc (`_EIGVALSH`,
 `_EIGH`) directly and no ``np.linalg`` routine; a sym block holding NaN or
 inf has NaN eigenvalues.
+
+The thresholds named here (``CLUSTER_RTOL``, ``POSITIVITY_TOL``,
+``INTERIOR_TOL``, ``INVERTIBILITY_TOL``) are defined in `tolerances`.
 """
 
 from __future__ import annotations
@@ -41,11 +44,13 @@ from .core import (
     inner_product,
     unit,
 )
-
-CLUSTER_RTOL = 1e-8
-POSITIVITY_TOL = 1e-10
-INVERTIBILITY_TOL = 1e-10
-INTERIOR_TOL = 1e-9
+from .tolerances import (
+    CLUSTER_RTOL,
+    INTEGER_EXPONENT_TOL,
+    INTERIOR_TOL,
+    INVERTIBILITY_TOL,
+    POSITIVITY_TOL,
+)
 
 # LAPACK's symmetric eigensolver on the lower triangle of each matrix in a
 # stack: the gufuncs np.linalg.eigvalsh and np.linalg.eigh call after their
@@ -148,8 +153,10 @@ def _lowest(x: Element) -> float:
     return float(spectrum(x).min())
 
 
-def is_positive(x: Element, tol: float = POSITIVITY_TOL) -> bool:
-    return bool(_lowest(x) >= -tol)
+def is_positive(x: Element) -> bool:
+    """Whether x lies in the closed cone (all eigenvalues >= -POSITIVITY_TOL;
+    NaN fails)."""
+    return bool(_lowest(x) >= -POSITIVITY_TOL)
 
 
 def order_unit_norm(x: Element) -> float:
@@ -295,7 +302,7 @@ def power(x: Element, alpha: float) -> Element:
     strictly positive spectrum.
     """
     name = f"pow({alpha:g})"
-    if abs(alpha - round(alpha)) < 1e-12:
+    if abs(alpha - round(alpha)) < INTEGER_EXPONENT_TOL:
         k = int(round(alpha))
         if k < 0 and float(np.abs(spectrum(x)).min()) <= INVERTIBILITY_TOL:
             raise ValueError(f"eigenvalue outside domain of {name}: not invertible")
@@ -336,9 +343,10 @@ def atomic_refinement(d: SpectralDecomposition) -> list[tuple[float, Element]]:
     return out
 
 
-def is_interior(x: Element, tol: float = INTERIOR_TOL) -> bool:
-    """Whether x lies in the open cone (all eigenvalues > tol; NaN fails)."""
-    return bool(_lowest(x) > tol)
+def is_interior(x: Element) -> bool:
+    """Whether x lies in the open cone (all eigenvalues > INTERIOR_TOL; NaN
+    fails)."""
+    return bool(_lowest(x) > INTERIOR_TOL)
 
 
 def trace(x: Element) -> float:

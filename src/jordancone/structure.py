@@ -13,7 +13,8 @@ centrality is a finite test while the definitional "not in the span of
 other extreme rays" quantifies over a continuum.  The general numerical
 routes (the commutator null space, random central idempotents, the
 extremality sampler) live in `verify` as independent oracles that the
-tests and the acceptance suite check this module against.
+tests and the acceptance suite check this module against.  The
+projection and centrality thresholds are defined in `tolerances`.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from functools import lru_cache
 
 from .core import AlgebraDescriptor, Element, jordan_product
 from .spectral import order_unit_norm, spectrum
-
-PROJECTION_TOL = 1e-10
-CENTRAL_TOL = 1e-10
+from .tolerances import CENTRAL_TOL, PROJECTION_TOL
 
 
-def is_projection(p: Element, tol: float = PROJECTION_TOL) -> bool:
-    """p o p = p within tol * (1 + |p|)."""
+def is_projection(p: Element) -> bool:
+    """p o p = p within PROJECTION_TOL * (1 + |p|)."""
     residual = jordan_product(p, p) - p
-    return order_unit_norm(residual) <= tol * (1.0 + order_unit_norm(p))
+    return order_unit_norm(residual) <= PROJECTION_TOL * (1.0 + order_unit_norm(p))
 
 
 def is_atom(p: Element) -> bool:
@@ -44,19 +43,20 @@ def is_atom(p: Element) -> bool:
     return is_projection(p) and int(np.count_nonzero(spectrum(p) > 0.5)) == 1
 
 
-def is_central(x: Element, tol: float = CENTRAL_TOL) -> bool:
+def is_central(x: Element) -> bool:
     """Whether x lies in the center: the span of the factor units.
 
     The residual of x after projecting each factor block onto its unit in
     the trace form (X - (tr X / n) I for sym(n), (0, u) for spin, 0 for a
-    one-dimensional factor) must stay within tol * (1 + |x|) entrywise.
+    one-dimensional factor) must stay within CENTRAL_TOL * (1 + |x|)
+    entrywise.
     """
     a = x.algebra
     e = a.unit_coords
     we = a.inner_weights * e
     coeffs = np.add.reduceat(we * x.coords, a.offsets) / np.add.reduceat(we * e, a.offsets)
     residual = x.coords - np.repeat(coeffs, [f.dim for f in a.factors]) * e
-    return bool(np.abs(residual).max() <= tol * (1.0 + order_unit_norm(x)))
+    return bool(np.abs(residual).max() <= CENTRAL_TOL * (1.0 + order_unit_norm(x)))
 
 
 def _factor_unit(algebra: AlgebraDescriptor, index: int) -> Element:

@@ -22,6 +22,9 @@ of the commutator system [L_{e_k}, L_{e_j}] and random central elements,
 without the descriptor facts `structure` reads the center from; the tests
 and the acceptance suite compare the two routes.  They are capped at
 ``ORACLE_MAX_DIM`` because the commutator system takes 8 d^4 bytes.
+
+Every threshold the oracles and checks compare against is defined in
+`tolerances`; a `SampleReport` records the one its check used.
 """
 
 from __future__ import annotations
@@ -49,11 +52,16 @@ from .spectral import (
     sqrt,
     trace,
 )
+from .tolerances import (
+    CENTER_GAP_TOL,
+    LINEARITY_DEFECT_TOL,
+    ORDER_VIOLATION_TOL,
+    RANK_CUTOFF,
+    SPAN_DISTANCE_TOL,
+    TRACE_NORMALIZED_TOL,
+)
 
-SPAN_DISTANCE_TOL = 1e-7
 SAMPLE_CHUNK = 2048  # order-interval draws per batch in extreme_vector_oracle
-RANK_CUTOFF = 1e-9  # relative singular-value cutoff of the commutator system
-CENTER_GAP_TOL = 1e-6
 ORACLE_MAX_DIM = 40  # 8 * 40^4 B = 20 MB of commutator coordinates
 
 
@@ -154,7 +162,7 @@ def extreme_vector_oracle(x: Element, trials: int = 10_000, seed: int = 0) -> bo
     """
     if not is_positive(x):
         raise ValueError("element not in cone")
-    if abs(trace(x) - 1.0) > 1e-9:
+    if abs(trace(x) - 1.0) > TRACE_NORMALIZED_TOL:
         raise ValueError("element is not trace-normalized")
     rng = as_rng(seed)
     m = quadratic_rep(sqrt(x)).matrix
@@ -227,13 +235,12 @@ def check_order_preserving(
     algebra: AlgebraDescriptor,
     trials: int = 1000,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> SampleReport:
     """Sample ordered pairs x <= z and test f(x) <= f(z).
 
     ``f`` is an `OrderIsoForm` or any map of `Element`s.  The violation
     magnitude is the negative part of the smallest eigenvalue of
-    f(z) - f(x).
+    f(z) - f(x); a trial fails above ``ORDER_VIOLATION_TOL``.
     """
     x, ww = _draw_squares(algebra, trials, seed)
     z = x + ww
@@ -245,9 +252,9 @@ def check_order_preserving(
             "order preserved",
             float(violations[i]),
         )
-        for i in np.flatnonzero(violations > tolerance)
+        for i in np.flatnonzero(violations > ORDER_VIOLATION_TOL)
     )
-    return SampleReport(trials, tolerance, float(violations.max(initial=0.0)), failures)
+    return SampleReport(trials, ORDER_VIOLATION_TOL, float(violations.max(initial=0.0)), failures)
 
 
 _SCALES = (0.5, 2.0, 3.0)
@@ -258,14 +265,14 @@ def check_linearity_blackbox(
     algebra: AlgebraDescriptor,
     trials: int = 1000,
     seed: int = 0,
-    tolerance: float = 1e-8,
 ) -> SampleReport:
     """Sample additivity and homogeneity of a map on the cone.
 
     ``f`` is an `OrderIsoForm` or any map of `Element`s.  Checks
     f(x + z) = f(x) + f(z) and f(a x) = a f(x) for a in {1/2, 2, 3} on
-    random cone points; magnitudes are order-unit norms of the defects.
-    Failures come trial by trial, the additivity check first.
+    random cone points; magnitudes are order-unit norms of the defects,
+    and a defect above ``LINEARITY_DEFECT_TOL`` fails.  Failures come trial
+    by trial, the additivity check first.
     """
     x, z = _draw_squares(algebra, trials, seed)
     codomain, (fs, fx, fz, *fa) = _images(
@@ -276,16 +283,18 @@ def check_linearity_blackbox(
     violations = _violations(np.abs(spectra(codomain, stacked)).max(axis=1))
     violations = violations.reshape(trials, len(defects))
     failures = []
-    for i in np.flatnonzero((violations > tolerance).any(axis=1)):
+    for i in np.flatnonzero((violations > LINEARITY_DEFECT_TOL).any(axis=1)):
         xi = Element(algebra, x[i])
-        for k in np.flatnonzero(violations[i] > tolerance):
+        for k in np.flatnonzero(violations[i] > LINEARITY_DEFECT_TOL):
             magnitude = float(violations[i, k])
             if k == 0:
                 failures.append(Failure((xi, Element(algebra, z[i])), "additive", magnitude))
             else:
                 a = _SCALES[k - 1]
                 failures.append(Failure((xi, a), f"homogeneous (a={a:g})", magnitude))
-    return SampleReport(trials, tolerance, float(violations.max(initial=0.0)), tuple(failures))
+    return SampleReport(
+        trials, LINEARITY_DEFECT_TOL, float(violations.max(initial=0.0)), tuple(failures)
+    )
 
 
 # ---------------------------------------------------------------------------

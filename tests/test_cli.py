@@ -282,6 +282,81 @@ class TestBadInput:
         assert "malformed input" in err and message in err
 
 
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            (["1.5", "2"], "got str values"),
+            ([True, False], "got bool values"),
+            ([1.0, 10**400], "too large for a float"),
+        ],
+        ids=["strings", "booleans", "huge-int"],
+    )
+    def test_element_values_must_be_numbers(self, tmp_path, capsys, coords, message):
+        # np.asarray used to read "1.5" and true as numbers, exit 0; a huge
+        # integer ended in an OverflowError traceback
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps({"factors": [{"kind": "real"}, {"kind": "real"}]}))
+        elt = tmp_path / "elt.json"
+        elt.write_text(json.dumps(coords))
+        code, out, err = run(capsys, ["spectrum", "--algebra", str(alg), "--element", str(elt)])
+        assert code == 1 and out == ""
+        assert "malformed input" in err and message in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("1", "got str values"), (True, "got bool values"), (10**400, "too large for a float")],
+        ids=["string", "boolean", "huge-int"],
+    )
+    def test_operator_values_must_be_numbers(self, files, tmp_path, capsys, entry, message):
+        data = np.eye(8).ravel().tolist()
+        data[0] = entry
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps({"rows": 8, "cols": 8, "data": data}))
+        code, out, err = run(capsys, ["factorize", "--algebra", files["alg.json"], "--map", str(p)])
+        assert code == 1 and out == ""
+        assert "malformed input" in err and message in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sigma": [[0.9, 1], [1, 0]]}, "sigma entries must be integers"),
+            ({"f_p": [{"kind": "power", "alpha": "2.5"}, {"kind": "power", "alpha": 0.5}]},
+             "expected a number"),
+            ({"f_p": [{"kind": "power", "alpha": True}, {"kind": "power", "alpha": 0.5}]},
+             "expected a number"),
+            ({"f_p": [{"kind": "power", "alpha": 10**400}, {"kind": "power", "alpha": 0.5}]},
+             "too large for a float"),
+            ({"y": [1, 0, 10**400]}, "too large for a float"),
+            ({"J": None}, "both 'y' and 'J', or neither"),
+        ],
+        ids=["sigma-float", "alpha-str", "alpha-bool", "alpha-huge", "y-huge", "y-without-J"],
+    )
+    def test_form_values_must_be_numbers(self, files, tmp_path, capsys, change, message):
+        with open(files["form.json"]) as fh:
+            form = json.load(fh)
+        form.update(change)
+        p = tmp_path / "bad_form.json"
+        p.write_text(json.dumps(form))
+        code, out, err = run(capsys, ["verify-oiso", "--form", str(p), "--trials", "20"])
+        assert code == 1 and out == ""
+        assert "malformed input" in err and message in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"[1" + b"0" * 5000 + b"]", "Exceeds the limit"),
+         (b"\xff\xfe[1]", "can't decode byte 0xff")],
+        ids=["int-past-digit-limit", "not-utf8"],
+    )
+    def test_unloadable_json_exits_1(self, tmp_path, capsys, content, message):
+        # json.load raises a plain ValueError (or UnicodeDecodeError) here,
+        # not JSONDecodeError; it used to reach main's handler and exit 2
+        p = tmp_path / "alg.json"
+        p.write_bytes(content)
+        code, out, err = run(capsys, ["analyze", "--algebra", str(p)])
+        assert code == 1 and out == ""
+        assert "malformed input" in err and message in err
+
+
 class TestVerifyOiso:
     def test_honest_nonlinear_form_passes(self, files, capsys):
         code, out, _ = run(

@@ -286,6 +286,41 @@ class TestSerialization:
         with pytest.raises(ValueError, match="flat list of numbers"):
             operator_from_dict(S2, S2, {"rows": 3, "cols": 3, "data": np.eye(3).tolist()})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (["1.5", "2"], "got str values"),
+            ([True, False], "got bool values"),
+            ([1.0, "2"], "got str values"),
+            ([None, 1.0], "got NoneType values"),
+            ([1, 2.5], None),
+        ],
+        ids=repr,
+    )
+    def test_coordinates_must_be_json_numbers(self, data, message):
+        from jordancone.core import element_from_list, operator_from_dict
+
+        rr = jc.direct_sum(jc.real(), jc.real())
+        doc = {"rows": 1, "cols": 2, "data": data}
+        r = jc.direct_sum(jc.real())
+        if message is None:  # ints and floats are numbers
+            assert element_from_list(rr, data).coords.tolist() == [1.0, 2.5]
+            assert operator_from_dict(rr, r, doc).matrix.tolist() == [[1.0, 2.5]]
+            return
+        with pytest.raises(ValueError, match=message):
+            element_from_list(rr, data)
+        with pytest.raises(ValueError, match=message):
+            operator_from_dict(rr, r, doc)
+
+    def test_integer_past_float_range_is_malformed(self):
+        from jordancone.core import element_from_list, operator_from_dict
+
+        rr = jc.direct_sum(jc.real(), jc.real())
+        with pytest.raises(ValueError, match="too large for a float"):
+            element_from_list(rr, [1.0, 10**400])
+        with pytest.raises(ValueError, match="too large for a float"):
+            operator_from_dict(rr, rr, {"rows": 2, "cols": 2, "data": [10**400, 0, 0, 1]})
+
     @pytest.mark.parametrize("rows", [3.0, 3.5, True, "3", None], ids=repr)
     def test_operator_shape_must_be_integers(self, rows):
         from jordancone.core import operator_from_dict

@@ -207,7 +207,7 @@ class TestJordanHomomorphism:
         real_hom = ordermaps.is_jordan_homomorphism
         monkeypatch.setattr(
             ordermaps, "is_jordan_homomorphism",
-            lambda op, tol, norm=None: seen.append(norm) or real_hom(op, tol, norm),
+            lambda op, norm=None: seen.append(norm) or real_hom(op, norm),
         )
         assert ordermaps.is_jordan_isomorphism(op)
         assert seen == [np.linalg.norm(op.matrix, 2)]
@@ -600,32 +600,6 @@ class TestCheckLinearity:
         assert jc.check_linearity(form)
 
 
-class TestAffinity:
-    def test_linear_form_at_origin(self):
-        form = jc.random_order_iso(S2, S2, seed=13)
-        s, b = jc.affinity_on_translated_cone(form, jc.zero(S2))
-        np.testing.assert_allclose(b.coords, 0.0, atol=1e-10)
-
-    def test_translated_cone(self):
-        form = jc.random_order_iso(S3, S3, seed=14)
-        x = jc.random_positive(S3, 15)
-        s, b = jc.affinity_on_translated_cone(form, x)
-        np.testing.assert_allclose(b.coords, 0.0, atol=1e-8)
-        y = jc.random_positive(S3, 16)
-        lhs = jc.apply_order_iso(form, x + y)
-        rhs = jc.op_apply(s, x + y) + b
-        np.testing.assert_allclose(lhs.coords, rhs.coords, atol=1e-8)
-
-    def test_requires_engaged_domain(self):
-        with pytest.raises(ValueError, match="disengaged atoms"):
-            jc.affinity_on_translated_cone(squaring_form(), jc.zero(R_S2))
-
-    def test_requires_cone_point(self):
-        form = jc.random_order_iso(S2, S2, seed=17)
-        with pytest.raises(ValueError, match="element not in cone"):
-            jc.affinity_on_translated_cone(form, elem(S2, [1.0, 0.0, -2.0]))
-
-
 class TestGridPowerDemo:
     def test_trivial_lambda_is_linear(self):
         form = jc.grid_power_demo(4, lambda t: 1.0)
@@ -686,6 +660,59 @@ class TestFormSerialization:
             jc.apply_order_iso(back, x).coords,
             jc.apply_order_iso(form, x).coords,
         )
+
+    @pytest.mark.parametrize(
+        "sigma", [[[0.9, 0], [1, 1]], [[0, 1], [1, "0"]], [[False, 0], [True, 1]]], ids=repr
+    )
+    def test_sigma_entries_must_be_integers(self, sigma):
+        # int() used to read 0.9 as slot 0 and "0" as slot 0
+        doc = jc.form_to_dict(jc.identity_form(RR))
+        doc["sigma"] = sigma
+        with pytest.raises(ValueError, match="sigma entries must be integers"):
+            jc.form_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "bijection, message",
+        [
+            ({"kind": "power", "alpha": "2.5"}, "expected a number"),
+            ({"kind": "power", "alpha": True}, "expected a number"),
+            ({"kind": "power", "alpha": 10**400}, "too large for a float"),
+            ({"kind": "piecewise_linear", "breakpoints": [[0, 0], ["1", 2]]},
+             "expected a number"),
+            ({"kind": "piecewise_linear", "breakpoints": [[0, 0], [1, 10**400]]},
+             "too large for a float"),
+        ],
+        ids=["alpha-str", "alpha-bool", "alpha-huge", "knot-str", "knot-huge"],
+    )
+    def test_bijection_values_must_be_numbers(self, bijection, message):
+        doc = jc.form_to_dict(jc.identity_form(RR))
+        doc["f_p"][0] = bijection
+        with pytest.raises(ValueError, match=message):
+            jc.form_from_dict(doc)
+
+    def test_integer_bijection_values_are_numbers(self):
+        doc = jc.form_to_dict(jc.identity_form(RR))
+        doc["f_p"] = [{"kind": "power", "alpha": 2},
+                      {"kind": "piecewise_linear", "breakpoints": [[0, 0], [1, 3]]}]
+        form = jc.form_from_dict(doc)
+        assert form.f_p[0] == jc.Power(2.0)
+        assert form.f_p[1](2.0) == 6.0
+
+    @pytest.mark.parametrize("missing", ["y", "J"])
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_y_and_j_come_together(self, missing, validate):
+        doc = jc.form_to_dict(jc.identity_form(R_S2))
+        dropped = {k: v for k, v in doc.items() if k != missing}
+        for bad in ({**doc, missing: None}, dropped):
+            with pytest.raises(ValueError, match="both 'y' and 'J', or neither"):
+                jc.form_from_dict(bad, validate=validate)
+
+    def test_huge_integer_in_y_is_malformed(self):
+        doc = jc.form_to_dict(jc.identity_form(R_S2))
+        doc["y"] = [1, 0, 10**400]
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="too large for a float"):
+                jc.form_from_dict(doc, validate=validate)
 
     def test_invalid_document_rejected(self):
         doc = jc.form_to_dict(jc.identity_form(RR))

@@ -6,7 +6,8 @@ import pytest
 import jordancone as jc
 from jordancone import spectral
 from jordancone.core import sym_from_matrix, sym_to_matrix
-from jordancone.spectral import INTERIOR_TOL, POSITIVITY_TOL, is_interior, trace
+from jordancone.spectral import is_interior, trace
+from jordancone.tolerances import INTERIOR_TOL, POSITIVITY_TOL
 
 
 S2 = jc.direct_sum(jc.sym(2))

@@ -15,9 +15,10 @@ degenerate, negative and nearly degenerate elements; factorize on valid
 verify-oiso on grid power demos, random classified forms, a tampered ``J``
 and all-NaN ``y`` forms across seeds and trial counts; demo-nonlinear, with
 an overflowing power (exit 2); malformed inputs of every kind (exit 1),
-among them factor entries that are not objects, nested coordinate lists
-and non-integer operator shapes; and ``selftest --format
-structured`` (about 10 s).  Input files are written to a temporary
+among them factor entries that are not objects, nested coordinate lists,
+non-integer operator shapes, strings and booleans where numbers belong,
+and integers too large for a float or for Python's digit limit; and
+``selftest --format structured`` (about 10 s).  Input files are written to a temporary
 directory and named by relative paths, so error messages do not depend on
 where it lies.
 """
@@ -233,6 +234,32 @@ def cases() -> list[tuple[str, list[str]]]:
     for name, rows in (("rows_float", 8.0), ("rows_fraction", 8.5), ("rows_bool", True)):
         path = _write(f"bad_map_{name}.json", {"rows": rows, "cols": 8, "data": eye8})
         add(f"bad:factorize:{name}", ["factorize", "--algebra", s3, "--map", path])
+    # values that are not JSON numbers, or too large for a float: exit 1
+    rr = _write("alg_rr.json", {"factors": _factors(("real", 0), ("real", 0))})
+    huge = 10**400
+    for name, doc in (("strings", ["1.5", "2"]), ("booleans", [True, False]),
+                      ("huge_int", [1, huge])):
+        path = _write(f"bad_elt_{name}.json", doc)
+        add(f"bad:spectrum:{name}", ["spectrum", "--algebra", rr, "--element", path])
+    for name, entry in (("data_str", "1"), ("data_bool", True), ("data_huge_int", huge)):
+        path = _write(f"bad_map_{name}.json",
+                      {"rows": 8, "cols": 8, "data": [entry] + eye8[1:]})
+        add(f"bad:factorize:{name}", ["factorize", "--algebra", s3, "--map", path])
+    rr_s2 = jc.form_to_dict(jc.identity_form(jc.direct_sum(jc.real(), jc.real(), jc.sym(2))))
+    for name, change in (
+        ("sigma_float", {"sigma": [[0.9, 0], [1, 1]]}),
+        ("alpha_str", {"f_p": [{"kind": "power", "alpha": "2.5"}] * 2}),
+        ("alpha_bool", {"f_p": [{"kind": "power", "alpha": True}] * 2}),
+        ("alpha_huge_int", {"f_p": [{"kind": "power", "alpha": huge}] * 2}),
+        ("knot_str",
+         {"f_p": [{"kind": "piecewise_linear", "breakpoints": [[0, 0], ["1", 2]]}] * 2}),
+        ("y_huge_int", {"y": [huge, 0, 1]}),
+        ("y_without_j", {"J": None}),
+    ):
+        path = _write(f"bad_form_{name}.json", {**rr_s2, **change})
+        add(f"bad:verify-oiso:{name}", ["verify-oiso", "--form", path, "--trials", "20"])
+    Path("bad_int_digits.json").write_text("[1" + "0" * 5000 + "]")
+    add("bad:analyze:int_digits", ["analyze", "--algebra", "bad_int_digits.json"])
     return out
 
 
