@@ -47,7 +47,7 @@ class FactorDescriptor:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+            raise ValueError(f"unknown factor kind {_got(self.kind)}")
         if self.kind == "spin" and self.n < 2:
             raise ValueError("spin factor requires n >= 2")
         if self.kind == "sym" and self.n < 1:
@@ -431,20 +431,15 @@ def algebra_to_dict(algebra: AlgebraDescriptor) -> dict:
     return {"factors": out}
 
 
-def algebra_from_dict(doc: dict) -> AlgebraDescriptor:
-    if not isinstance(doc, dict) or "factors" not in doc:
-        raise ValueError("algebra document must contain a 'factors' list")
-    entries = doc["factors"]
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError("'factors' must be a list of factor objects")
-    factors = []
-    for entry in entries:
-        n = entry.get("n", 0)
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"factor size n must be an integer, got {n!r}")
-        factors.append(FactorDescriptor(entry["kind"], n))
+def algebra_from_dict(doc) -> AlgebraDescriptor:
+    factors = _get(doc, "factors", _list, _factor_from_dict)
     check_total_dim(sum(f.dim for f in factors))
     return AlgebraDescriptor(tuple(factors))
+
+
+def _factor_from_dict(entry) -> FactorDescriptor:
+    kind = _get(entry, "kind")
+    return FactorDescriptor(kind, _get(entry, "n", _index) if "n" in entry else 0)
 
 
 def check_total_dim(total_dim: int) -> None:
@@ -457,39 +452,77 @@ def element_to_list(x: Element) -> list[float]:
     return [float(c) for c in x.coords]
 
 
+def _field(name: str, read, *args):
+    """``read(*args)``, a ValueError from it prefixed with the field ``name``,
+    so that every document reader names the field at fault as a path:
+    "f_p[0]: alpha: expected a number, got 'x'"."""
+    try:
+        return read(*args)
+    except ValueError as err:
+        sep = "" if str(err).startswith("[") else ": "  # "f_p" + "[0]: ..."
+        raise ValueError(f"{name}{sep}{err}") from None
+
+
+def _got(value) -> str:
+    """``value`` for an error message; a list or an object by its kind only."""
+    return {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+
+
+def _get(doc, key: str, read=None, *args):
+    """``doc[key]``, or ``read(doc[key], *args)``, of an object that must hold ``key``."""
+    if type(doc) is not dict:
+        raise ValueError(f"expected an object, got {_got(doc)}")
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key] if read is None else _field(key, read, doc[key], *args)
+
+
+def _list(value, read=None, size: int | None = None) -> list:
+    """A list (of ``size`` entries when given), or the list of ``read(entry)``."""
+    if type(value) is not list:
+        raise ValueError(f"expected a list, got {_got(value)}")
+    if size is not None and len(value) != size:
+        raise ValueError(f"expected a list of {size} entries, got {len(value)}")
+    return value if read is None else [_field(f"[{k}]", read, v) for k, v in enumerate(value)]
+
+
+def _index(value) -> int:
+    """A JSON integer >= 0, not a bool: a size or a slot number."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {_got(value)}")
+    return value
+
+
 def _number(value) -> float:
     """A JSON number (an int or a float, not a bool) as a float."""
     if type(value) not in (int, float):
-        raise ValueError(f"expected a number, got {value!r}")
+        raise ValueError(f"expected a number, got {_got(value)}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError("integer too large for a float") from None
 
 
-def _finite_array(data, finite: bool) -> np.ndarray:
-    """A flat list of JSON numbers as a float array; NaN and inf are refused
+def _numbers(data, finite: bool = True) -> np.ndarray:
+    """A flat JSON list of numbers as a float array; NaN and inf are refused
     when ``finite``."""
+    # one C-speed pass over the types: np.asarray would read "1.5", true
+    # and nested lists as numbers
+    others = set(map(type, _list(data))) - {int, float}
+    if others:
+        names = ", ".join(sorted(t.__name__ for t in others))
+        raise ValueError(f"expected a flat list of numbers, got {names} values")
     try:
         values = np.asarray(data, dtype=float)
     except OverflowError:
         raise ValueError("integer too large for a float") from None
-    if values.ndim != 1:
-        raise ValueError(f"expected a flat list of numbers, got shape {values.shape}")
-    # np.asarray reads "1.5" and true as numbers
-    others = set(map(type, data)) - {int, float}
-    if others:
-        names = ", ".join(sorted(t.__name__ for t in others))
-        raise ValueError(f"expected a flat list of numbers, got {names} values")
     if finite and not np.isfinite(values).all():
         raise ValueError("non-finite value in input")
     return values
 
 
-def element_from_list(algebra: AlgebraDescriptor, data: list, *, finite: bool = True) -> Element:
-    """Parse a coordinate list; non-finite values are rejected unless
-    ``finite`` is false (forms loaded unvalidated, to be judged by sampling)."""
-    return Element(algebra, _finite_array(data, finite))
+def element_from_list(algebra: AlgebraDescriptor, data) -> Element:
+    return Element(algebra, _numbers(data))
 
 
 def operator_to_dict(op: LinearOperator) -> dict:
@@ -497,14 +530,14 @@ def operator_to_dict(op: LinearOperator) -> dict:
     return {"rows": r, "cols": c, "data": [float(v) for v in op.matrix.ravel()]}
 
 
-def operator_from_dict(
-    domain: AlgebraDescriptor, codomain: AlgebraDescriptor, doc: dict, *, finite: bool = True
-) -> LinearOperator:
-    """Parse a dense row-major operator; ``finite`` as in `element_from_list`."""
-    r, c = doc["rows"], doc["cols"]
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (r, c)):
-        raise ValueError(f"operator rows and cols must be integers, got {r!r} and {c!r}")
-    data = _finite_array(doc["data"], finite)
+def operator_from_dict(domain: AlgebraDescriptor, codomain: AlgebraDescriptor, doc) -> LinearOperator:
+    """Parse a dense row-major operator."""
+    return _operator_from_dict(doc, domain, codomain, True)
+
+
+def _operator_from_dict(doc, domain, codomain, finite: bool) -> LinearOperator:
+    r, c = _get(doc, "rows", _index), _get(doc, "cols", _index)
+    data = _get(doc, "data", _numbers, finite)
     if data.size != r * c:
         raise ValueError("operator data length does not match rows*cols")
     return LinearOperator(domain, codomain, data.reshape(r, c))

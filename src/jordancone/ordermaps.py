@@ -31,13 +31,16 @@ from .core import (
     LinearOperator,
     _fresh_element,
     _invertible_norm,
-    _number,
+    algebra_from_dict,
+    algebra_to_dict,
     direct_sum,
+    element_to_list,
     identity_operator,
     jordan_products,
     op_apply,
     op_compose,
     op_invert,
+    operator_to_dict,
     quadratic_rep,
     random_interior,
     as_rng,
@@ -54,6 +57,7 @@ from .spectral import (
     spectra,
     sqrt,
 )
+from .core import _get, _got, _index, _list, _number, _numbers, _operator_from_dict
 from .structure import Decomposition, decompose_engaged_disengaged
 from .tolerances import JORDAN_HOM_TOL, POSITIVITY_TOL, SCALING_RTOL
 
@@ -121,24 +125,23 @@ class PiecewiseLinear:
             raise ValueError("breakpoints must start at (0, 0) and have >= 2 knots")
         if not all(math.isfinite(t) and math.isfinite(v) for t, v in bp):
             raise ValueError("breakpoints must be finite")
-        ts = np.array([t for t, _ in bp])
-        vs = np.array([v for _, v in bp])
-        if np.any(np.diff(ts) <= 0) or np.any(np.diff(vs) <= 0):
+        segments = tuple(zip(bp, bp[1:]))
+        if not all(t0 < t1 and v0 < v1 for (t0, v0), (t1, v1) in segments):
             raise ValueError("breakpoints must be strictly increasing (slopes > 0)")
+        # a quotient of finite floats can still overflow to inf or underflow to 0
+        slopes = tuple((v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in segments)
+        if not all(0.0 < s < math.inf for s in slopes):
+            raise ValueError("breakpoint slopes must be finite and > 0 as floats")
         object.__setattr__(self, "_ts", tuple(t for t, _ in bp))
-        object.__setattr__(self, "_vs", tuple(v for _, v in bp))
-
-    def _slopes(self) -> np.ndarray:
-        return np.diff(self._vs) / np.diff(self._ts)
+        object.__setattr__(self, "_slopes", slopes)
 
     def __call__(self, t: float) -> float:
         if t < 0:
             raise ValueError("monotone bijections act on the half-line t >= 0")
-        ts, vs = self._ts, self._vs
+        ts = self._ts
         # the segment left of t; NaN and inf sort past the last knot
         k = min(bisect.bisect_right(ts, t), len(ts) - 1) - 1
-        slope = (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
-        return vs[k] + slope * (t - ts[k])
+        return self.breakpoints[k][1] + self._slopes[k] * (t - ts[k])
 
     def inverse(self) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple((v, t) for t, v in self.breakpoints))
@@ -160,7 +163,7 @@ class PiecewiseLinear:
         return PiecewiseLinear(tuple((t, self(inner(t))) for t in knots))
 
     def is_scaling(self) -> bool:
-        s = self._slopes()
+        s = self._slopes
         return bool(np.allclose(s, s[0], rtol=SCALING_RTOL, atol=0.0))
 
 
@@ -617,17 +620,17 @@ def _bijection_to_dict(bij: MonotoneBijection) -> dict:
     return {"kind": "piecewise_linear", "breakpoints": [list(p) for p in bij.breakpoints]}
 
 
-def _bijection_from_dict(doc: dict) -> MonotoneBijection:
-    if doc["kind"] == "power":
-        return Power(_number(doc["alpha"]))
-    if doc["kind"] == "piecewise_linear":
-        return PiecewiseLinear(tuple((_number(t), _number(v)) for t, v in doc["breakpoints"]))
-    raise ValueError(f"unknown bijection kind {doc['kind']!r}")
+def _bijection_from_dict(doc) -> MonotoneBijection:
+    kind = _get(doc, "kind")
+    if kind == "power":
+        return Power(_get(doc, "alpha", _number))
+    if kind == "piecewise_linear":
+        knots = _get(doc, "breakpoints", _list, lambda knot: _list(knot, _number, 2))
+        return PiecewiseLinear(tuple(knots))
+    raise ValueError(f"unknown bijection kind {_got(kind)}")
 
 
 def form_to_dict(form: OrderIsoForm) -> dict:
-    from .core import algebra_to_dict, element_to_list, operator_to_dict
-
     return {
         "domain": algebra_to_dict(form.domain),
         "codomain": algebra_to_dict(form.codomain),
@@ -638,32 +641,25 @@ def form_to_dict(form: OrderIsoForm) -> dict:
     }
 
 
-def form_from_dict(doc: dict, validate: bool = True) -> OrderIsoForm:
-    from .core import algebra_from_dict, element_from_list, operator_from_dict
-
-    domain = algebra_from_dict(doc["domain"])
-    codomain = algebra_from_dict(doc["codomain"])
-    pairs = [(i, j) for i, j in doc["sigma"]]
-    if any(type(k) is not int for pair in pairs for k in pair):
-        raise ValueError(f"sigma entries must be integers, got {doc['sigma']!r}")
-    pairs.sort()
+def form_from_dict(doc, validate: bool = True) -> OrderIsoForm:
+    domain = _get(doc, "domain", algebra_from_dict)
+    codomain = _get(doc, "codomain", algebra_from_dict)
+    pairs = sorted(_get(doc, "sigma", _list, lambda pair: _list(pair, _index, 2)))
     if [i for i, _ in pairs] != list(range(len(pairs))):
         raise ValueError("sigma pairs must cover the disengaged slots")
     sigma = tuple(j for _, j in pairs)
-    f_p = tuple(_bijection_from_dict(b) for b in doc["f_p"])
-    dd = decompose_engaged_disengaged(domain)
-    cd = decompose_engaged_disengaged(codomain)
+    f_p = _get(doc, "f_p", _list, _bijection_from_dict)
     y_doc, j_doc = doc.get("y"), doc.get("J")
     if (y_doc is None) != (j_doc is None):
         raise ValueError("form document must give both 'y' and 'J', or neither")
     if y_doc is not None:
-        if cd.engaged_subalgebra is None or dd.engaged_subalgebra is None:
+        de = decompose_engaged_disengaged(domain).engaged_subalgebra
+        ce = decompose_engaged_disengaged(codomain).engaged_subalgebra
+        if ce is None or de is None:
             raise ValueError("form document carries y/J but the algebras have no engaged part")
         # unvalidated forms may carry non-finite values for sampling to flag
-        y = element_from_list(cd.engaged_subalgebra, y_doc, finite=validate)
-        j = operator_from_dict(
-            dd.engaged_subalgebra, cd.engaged_subalgebra, j_doc, finite=validate
-        )
+        y = _get(doc, "y", lambda v: Element(ce, _numbers(v, validate)))
+        j = _get(doc, "J", _operator_from_dict, de, ce, validate)
     else:
         y = j = None
     return OrderIsoForm(domain, codomain, sigma, f_p, y, j, validate=validate)

@@ -188,7 +188,8 @@ class TestBadInput:
         for argv in (["analyze", "--algebra", str(alg)], ["verify-oiso", "--form", str(bad_form)]):
             code, out, err = run(capsys, argv)
             assert code == 1 and out == ""
-            assert "malformed input" in err and "list of factor objects" in err
+            assert "malformed input" in err
+            assert "factors: expected a list" in err or "factors[0]: expected an object" in err
 
     def test_nested_element_exits_1(self, tmp_path, capsys):
         # four numbers in a 2 x 2 list are not the coordinates of real + sym(2)
@@ -205,14 +206,14 @@ class TestBadInput:
         p.write_text(json.dumps({"rows": 8.5, "cols": 8, "data": np.eye(8).ravel().tolist()}))
         code, out, err = run(capsys, ["factorize", "--algebra", files["alg.json"], "--map", str(p)])
         assert code == 1 and out == ""
-        assert "malformed input" in err and "rows and cols must be integers" in err
+        assert "malformed input" in err and "rows: expected a non-negative integer, got 8.5" in err
 
     def test_non_integer_factor_size_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad_alg.json"
         p.write_text(json.dumps({"factors": [{"kind": "sym", "n": 2.7}]}))
         code, _, err = run(capsys, ["analyze", "--algebra", str(p)])
         assert code == 1
-        assert "must be an integer" in err
+        assert "factors[0]: n: expected a non-negative integer, got 2.7" in err
 
     def test_dimension_cap_exits_1_before_allocating(self, tmp_path, capsys):
         # sym(10^6) would need 5e11 coordinates; the cap is read off the sizes
@@ -319,7 +320,7 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"sigma": [[0.9, 1], [1, 0]]}, "sigma entries must be integers"),
+            ({"sigma": [[0.9, 1], [1, 0]]}, "sigma[0][0]: expected a non-negative integer"),
             ({"f_p": [{"kind": "power", "alpha": "2.5"}, {"kind": "power", "alpha": 0.5}]},
              "expected a number"),
             ({"f_p": [{"kind": "power", "alpha": True}, {"kind": "power", "alpha": 0.5}]},
@@ -340,6 +341,50 @@ class TestBadInput:
         code, out, err = run(capsys, ["verify-oiso", "--form", str(p), "--trials", "20"])
         assert code == 1 and out == ""
         assert "malformed input" in err and message in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"f_p": [5, 5]}, "f_p[0]: expected an object, got 5"),
+            ({"sigma": [[0, 1, 0], [1, 0]]}, "sigma[0]: expected a list of 2 entries, got 3"),
+            ({"f_p": [{"kind": "power"}] * 2}, "f_p[0]: missing key 'alpha'"),
+            ({"f_p": [{"kind": "piecewise_linear", "breakpoints": [[0, 0, 0], [1, 1]]}] * 2},
+             "f_p[0]: breakpoints[0]: expected a list of 2 entries, got 3"),
+            ({"J": [1, 0, 0]}, "J: expected an object, got a list"),
+            ({"f_p": [{"kind": "piecewise_linear", "breakpoints": [[0, 0], [1e-300, 1e300]]}] * 2},
+             "f_p[0]: breakpoint slopes must be finite and > 0 as floats"),
+            ({"f_p": [{"kind": "piecewise_linear", "breakpoints": [[0, 0], [1e300, 1e-300]]}] * 2},
+             "f_p[0]: breakpoint slopes must be finite and > 0 as floats"),
+        ],
+        ids=["f_p-not-objects", "sigma-triple", "power-no-alpha", "knot-triple", "J-list",
+             "slope-inf", "slope-zero"],
+    )
+    def test_form_errors_name_the_field(self, files, tmp_path, capsys, change, message):
+        # the first two used to leak "'int' object is not subscriptable" and
+        # "too many values to unpack (expected 2)"; the slopes used to exit
+        # 3 with RuntimeWarnings on stderr, or 0 with f(1) = f(5) = 0
+        with open(files["form.json"]) as fh:
+            form = json.load(fh)
+        form.update(change)
+        p = tmp_path / "bad_form.json"
+        p.write_text(json.dumps(form))
+        code, out, err = run(capsys, ["verify-oiso", "--form", str(p), "--trials", "20"])
+        assert code == 1 and out == ""
+        assert err == f"error: malformed input: {p}: {message}\n"
+
+    @pytest.mark.parametrize("verb", ["analyze", "spectrum", "factorize", "verify-oiso"])
+    def test_deeply_nested_json_exits_1(self, files, tmp_path, capsys, verb):
+        # json.load raised an uncaught RecursionError here
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 1000 + "]" * 1000)
+        flag = {"analyze": "--algebra", "spectrum": "--element", "factorize": "--map",
+                "verify-oiso": "--form"}[verb]
+        argv = [verb, flag, str(p)]
+        if verb in ("spectrum", "factorize"):
+            argv += ["--algebra", files["alg.json"]]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"error: malformed input: {p}: JSON nested too deeply\n"
 
     @pytest.mark.parametrize(
         "content, message",

@@ -273,17 +273,17 @@ class TestSerialization:
     def test_factors_must_be_a_list_of_objects(self, factors):
         from jordancone.core import algebra_from_dict
 
-        with pytest.raises(ValueError, match="list of factor objects"):
+        with pytest.raises(ValueError, match=r"^factors(\[0\])?: expected an? (list|object)"):
             algebra_from_dict({"factors": factors})
 
     def test_coordinates_must_be_flat(self):
         from jordancone.core import element_from_list, operator_from_dict
 
-        with pytest.raises(ValueError, match=r"flat list of numbers, got shape \(2, 2\)"):
+        with pytest.raises(ValueError, match="flat list of numbers, got list values"):
             element_from_list(jc.direct_sum(jc.real(), jc.sym(2)), [[1, 2], [3, 4]])
-        with pytest.raises(ValueError, match=r"got shape \(\)"):
+        with pytest.raises(ValueError, match="expected a list, got 1.0"):
             element_from_list(jc.direct_sum(jc.real()), 1.0)
-        with pytest.raises(ValueError, match="flat list of numbers"):
+        with pytest.raises(ValueError, match="data: expected a flat list of numbers"):
             operator_from_dict(S2, S2, {"rows": 3, "cols": 3, "data": np.eye(3).tolist()})
 
     @pytest.mark.parametrize(
@@ -326,7 +326,7 @@ class TestSerialization:
         from jordancone.core import operator_from_dict
 
         doc = {"rows": rows, "cols": 3, "data": np.eye(3).ravel().tolist()}
-        with pytest.raises(ValueError, match="rows and cols must be integers"):
+        with pytest.raises(ValueError, match="rows: expected a non-negative integer"):
             operator_from_dict(S2, S2, doc)
-        with pytest.raises(ValueError, match="rows and cols must be integers"):
+        with pytest.raises(ValueError, match="cols: expected a non-negative integer"):
             operator_from_dict(S2, S2, {**doc, "rows": 3, "cols": rows})

@@ -125,7 +125,17 @@ class TestPiecewiseLinear:
         for t in [0.0, -0.0, 5e-324, *knots, *between, *past]:
             got, want = f(t), reference(f.breakpoints, t)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), t
-        assert f._slopes().tobytes() == (np.diff([0.0, 0.7, 2.0, 2.1, 9.0]) / np.diff(knots)).tobytes()
+        assert np.array(f._slopes).tobytes() == (np.diff([0.0, 0.7, 2.0, 2.1, 9.0]) / np.diff(knots)).tobytes()
+
+    @pytest.mark.parametrize("knot", [(1e-300, 1e300), (1e300, 1e-300)], ids=["inf", "zero"])
+    def test_slopes_must_be_finite_positive_floats(self, knot):
+        # finite, increasing knots whose slope overflows to inf or underflows
+        # to 0.0: the first used to map every t > 0 to inf with overflow
+        # warnings, the second was accepted with f(1) = f(5) = 0.0
+        with pytest.raises(ValueError, match="slopes must be finite and > 0"):
+            jc.PiecewiseLinear(((0.0, 0.0), knot))
+        with pytest.raises(ValueError, match="slopes must be finite and > 0"):
+            jc.PiecewiseLinear(((0.0, 0.0), (1e-300, 1e-300), (1e-300 + 1e-310, 1.0), (2.0, 2.0)))
 
     def test_scaling_detection(self):
         assert jc.PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 4.0))).is_scaling()
@@ -668,7 +678,7 @@ class TestFormSerialization:
         # int() used to read 0.9 as slot 0 and "0" as slot 0
         doc = jc.form_to_dict(jc.identity_form(RR))
         doc["sigma"] = sigma
-        with pytest.raises(ValueError, match="sigma entries must be integers"):
+        with pytest.raises(ValueError, match=r"^sigma\[[01]\]\[[01]\]: expected a non-negative integer"):
             jc.form_from_dict(doc)
 
     @pytest.mark.parametrize(

@@ -17,8 +17,9 @@ and all-NaN ``y`` forms across seeds and trial counts; demo-nonlinear, with
 an overflowing power (exit 2); malformed inputs of every kind (exit 1),
 among them factor entries that are not objects, nested coordinate lists,
 non-integer operator shapes, strings and booleans where numbers belong,
-and integers too large for a float or for Python's digit limit; and
-``selftest --format structured`` (about 10 s).  Input files are written to a temporary
+integers too large for a float or for Python's digit limit, form entries of
+the wrong shape, piecewise-linear slopes that overflow or underflow a float
+and JSON nested 1000 deep; and ``selftest --format structured`` (about 10 s).  Input files are written to a temporary
 directory and named by relative paths, so error messages do not depend on
 where it lies.
 """
@@ -260,6 +261,26 @@ def cases() -> list[tuple[str, list[str]]]:
         add(f"bad:verify-oiso:{name}", ["verify-oiso", "--form", path, "--trials", "20"])
     Path("bad_int_digits.json").write_text("[1" + "0" * 5000 + "]")
     add("bad:analyze:int_digits", ["analyze", "--algebra", "bad_int_digits.json"])
+    # malformed structure: exit 1 with the field named
+    pwl = "piecewise_linear"
+    for name, change in (
+        ("f_p_ints", {"f_p": [5, 5]}),
+        ("sigma_triple", {"sigma": [[0, 0, 0], [1, 1]]}),
+        ("power_no_alpha", {"f_p": [{"kind": "power"}] * 2}),
+        ("knot_triple", {"f_p": [{"kind": pwl, "breakpoints": [[0, 0], [1, 2, 3]]}] * 2}),
+        ("j_list", {"J": [1.0, 0.0, 0.0]}),
+        ("slope_inf", {"f_p": [{"kind": pwl, "breakpoints": [[0, 0], [1e-300, 1e300]]}] * 2}),
+        ("slope_zero", {"f_p": [{"kind": pwl, "breakpoints": [[0, 0], [1e300, 1e-300]]}] * 2}),
+    ):
+        path = _write(f"bad_form_{name}.json", {**rr_s2, **change})
+        add(f"bad:verify-oiso:{name}", ["verify-oiso", "--form", path, "--trials", "20"])
+    path = _write("bad_form_list.json", [rr_s2])
+    add("bad:verify-oiso:form_list", ["verify-oiso", "--form", path])
+    path = _write("bad_elt_object.json", {"coords": [1.0, 2.0]})
+    add("bad:spectrum:object", ["spectrum", "--algebra", rr, "--element", path])
+    Path("bad_deep.json").write_text("[" * 1000 + "]" * 1000)
+    add("bad:analyze:deep", ["analyze", "--algebra", "bad_deep.json"])
+    add("bad:verify-oiso:deep", ["verify-oiso", "--form", "bad_deep.json"])
     return out
 
 
